@@ -28,7 +28,7 @@ from .heavy_tail_models import (
     truncated_sum_scale,
     two_sided_pareto,
 )
-from .limit_dist import BridgeSupDist, sup_bridge_cdf, sup_bridge_quantile
+from .limit_dist import sup_bridge_cdf, sup_bridge_quantile
 from .montecarlo import (
     DEFAULT_SHIFT_GRID,
     ChangeSpec,
@@ -69,7 +69,6 @@ from .trimmed_cusum import (
     locate_change,
     test_statistic,
     trim,
-    trim_threshold,
     trim_trunc_gap,
     truncated_cusum_path,
 )

@@ -37,16 +37,15 @@ from .resampling import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     ResamplePlan,
+    _critical_value,
     resampled_critical_value,
 )
 from .trimmed_cusum import (
     DegenerateSampleError,
     TestReport,
-    cusum_path,
+    _trim_rows,
     default_trim_depth,
     locate_change,
-    test_statistic,
-    trim,
 )
 
 __all__ = ["DataError", "load_series", "main", "entry_point"]
@@ -101,14 +100,14 @@ def _model_from_args(args) -> TailModel:
 
 
 def _resolve_workers(args) -> int:
-    env = os.environ.get("TRIMCUSUM_WORKERS")
-    if env is not None:
+    """--workers if given, else TRIMCUSUM_WORKERS, else 1."""
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get("TRIMCUSUM_WORKERS", "1")
         try:
             workers = int(env)
         except ValueError:
             raise UsageError(f"TRIMCUSUM_WORKERS must be an integer, got {env!r}") from None
-    else:
-        workers = args.workers
     if workers < 1:
         raise UsageError("worker count must be at least 1")
     return workers
@@ -125,33 +124,41 @@ def _json_doc(config: dict, body: dict) -> str:
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 
-def _cmd_test(args) -> tuple[int, str]:
+def _series_and_depth(args) -> tuple[np.ndarray, int]:
     series = load_series(args.input)
     n = series.size
     d = args.d if args.d is not None else default_trim_depth(n)
     if not 2 <= d < n:
         raise UsageError(f"trim depth d={d} must satisfy 2 <= d < n={n}")
+    return series, d
+
+
+def _plan(args, n: int, replications: int) -> ResamplePlan:
+    m = args.m if args.m is not None else n
+    mode = _MODE_NAMES[args.mode]
+    return ResamplePlan(m, mode, replications, level=args.level, seed=args.seed)
+
+
+def _cmd_test(args) -> tuple[int, str]:
+    """One kernel call gives the statistic, the trimmed estimates, the
+    resampling input and the change location."""
+    series, d = _series_and_depth(args)
+    n = series.size
+    rows = _trim_rows(series[None, :], d)
     try:
-        statistic = test_statistic(series, d)
+        statistic = float(rows.statistics()[0])
     except DegenerateSampleError as exc:
         raise DataError(str(exc)) from exc
+    ts = rows.sample(series, d)
     crit_asym = sup_bridge_quantile(args.level)
     crit_resampled = None
     method = "asymptotic"
     critical = crit_asym
     if args.resample_B is not None:
-        plan = ResamplePlan(
-            m=args.m if args.m is not None else n,
-            mode=_MODE_NAMES[args.mode],
-            replications=args.resample_B,
-            level=args.level,
-            seed=args.seed,
-        )
-        crit_resampled = resampled_critical_value(series, d, plan).value
+        crit_resampled = _critical_value(ts, _plan(args, n, args.resample_B)).value
         method = "resampled"
         critical = crit_resampled
-    ts = trim(series, d)
-    location = locate_change(cusum_path(ts.trimmed_values))
+    location = locate_change(rows.path())
     report = TestReport(
         statistic=statistic,
         critical_value=critical,
@@ -192,17 +199,16 @@ def _cmd_test(args) -> tuple[int, str]:
     return (1 if report.reject else 0), text
 
 
+def _spec(args, n: int) -> SimulationSpec:
+    return SimulationSpec(
+        _model_from_args(args), n=n, replications=args.reps, level=args.level,
+        master_seed=args.seed, d=args.d,
+    )
+
+
 def _cmd_simulate(args) -> tuple[int, str]:
     n_list = _parse_n_list(args.n)
-    model = _model_from_args(args)
-    spec = SimulationSpec(
-        model,
-        n=n_list[0],
-        replications=args.reps,
-        level=args.level,
-        master_seed=args.seed,
-        d=args.d,
-    )
+    spec = _spec(args, n_list[0])
     rows = [[_inf_str(n), cv] for n, cv in critical_value_table(spec, n_list, workers=_resolve_workers(args))]
     if args.format == "json":
         return 0, _json_doc(_sim_config("simulate", args, n_list), {"table": rows})
@@ -210,15 +216,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
 
 
 def _cmd_power(args) -> tuple[int, str]:
-    model = _model_from_args(args)
-    spec = SimulationSpec(
-        model,
-        n=args.n,
-        replications=args.reps,
-        level=args.level,
-        master_seed=args.seed,
-        d=args.d,
-    )
+    spec = _spec(args, args.n)
     change_at = args.change_at if args.change_at is not None else args.n // 2
     critical = args.critical_value
     if critical is None:
@@ -233,18 +231,8 @@ def _cmd_power(args) -> tuple[int, str]:
 
 
 def _cmd_resample(args) -> tuple[int, str]:
-    series = load_series(args.input)
-    n = series.size
-    d = args.d if args.d is not None else default_trim_depth(n)
-    if not 2 <= d < n:
-        raise UsageError(f"trim depth d={d} must satisfy 2 <= d < n={n}")
-    plan = ResamplePlan(
-        m=args.m if args.m is not None else n,
-        mode=_MODE_NAMES[args.mode],
-        replications=args.reps,
-        level=args.level,
-        seed=args.seed,
-    )
+    series, d = _series_and_depth(args)
+    plan = _plan(args, series.size, args.reps)
     try:
         est = resampled_critical_value(series, d, plan)
     except DegenerateSampleError as exc:
@@ -356,7 +344,7 @@ def _add_common(sub, *, with_model=False, with_workers=False) -> None:
         sub.add_argument("--alpha", type=float, default=1.5)
         sub.add_argument("--p", type=float, default=0.5)
     if with_workers:
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--n", type=int, default=100_000)
     p_diag.add_argument("--reps", type=int, default=2000)
     p_diag.add_argument("--alpha", type=float, default=1.5)
-    p_diag.add_argument("--workers", type=int, default=1)
+    p_diag.add_argument("--workers", type=int, default=None)
     _add_common(p_diag)
 
     p_q = subs.add_parser("quantile", help="asymptotic critical value")

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._streams import stream_uniforms
+from .trimmed_cusum import _check_depth
 
 __all__ = [
     "TWO_SIDED_PARETO",
@@ -231,11 +232,6 @@ def _truncated_first_moment(model: TailModel, t: np.ndarray) -> np.ndarray:
         # The left tail mirrors the right with weight q, so it contributes -q*g.
         return (model.p - model.q) * g
     return g
-
-
-def _check_depth(d: int, n: int) -> None:
-    if not 1 <= d < n:
-        raise ValueError(f"trim depth d={d} must satisfy 1 <= d < n={n}")
 
 
 def mean_shift(model: TailModel, t, d: int, n: int):

@@ -9,11 +9,10 @@ sqrt(2*pi)/x * sum_{j>=0} exp(-(2j+1)**2 pi**2 / (8 x**2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-__all__ = ["BridgeSupDist", "sup_bridge_cdf", "sup_bridge_quantile"]
+__all__ = ["sup_bridge_cdf", "sup_bridge_quantile"]
 
 # Below this point the alternating series converges too slowly; the dual form
 # converges in one or two terms there and the two agree to ~1e-13 at the seam.
@@ -67,24 +66,3 @@ def sup_bridge_quantile(
 
     return float(brentq(f, 0.0, 5.0, xtol=1e-12, rtol=8.882e-16))
 
-
-@dataclass(frozen=True)
-class BridgeSupDist:
-    """Sup-of-bridge distribution with configurable series truncation."""
-
-    series_tolerance: float = 1e-12
-    max_terms: int = 100
-
-    def __post_init__(self) -> None:
-        if self.series_tolerance <= 0.0:
-            raise ValueError("series_tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-    def cdf(self, x: float) -> float:
-        return sup_bridge_cdf(x, series_tolerance=self.series_tolerance, max_terms=self.max_terms)
-
-    def quantile(self, level: float) -> float:
-        return sup_bridge_quantile(
-            level, series_tolerance=self.series_tolerance, max_terms=self.max_terms
-        )

@@ -30,7 +30,9 @@ from .heavy_tail_models import (
 from ._streams import stream_generator
 from .limit_dist import sup_bridge_quantile
 from .resampling import empirical_quantile
-from .trimmed_cusum import DegenerateSampleError, default_trim_depth
+from .trimmed_cusum import (
+    DegenerateSampleError, _check_depth, _gap_terms, _trim_rows, _trim_rule, default_trim_depth
+)
 
 __all__ = [
     "SimulationSpec",
@@ -80,9 +82,7 @@ class SimulationSpec:
             raise ValueError("level must lie in (0, 1)")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        depth = self.trim_depth
-        if not 1 <= depth < self.n:
-            raise ValueError(f"trim depth {depth} must satisfy 1 <= d < n={self.n}")
+        _check_depth(self.trim_depth, self.n)
 
     @property
     def trim_depth(self) -> int:
@@ -175,64 +175,70 @@ def _sample_block(model: TailModel, n: int, seed: int, start: int, count: int) -
     return _quantile_unchecked(model, u)
 
 
-def _batch_statistics(x: np.ndarray, d: int) -> np.ndarray:
-    """Trimmed CUSUM statistic per row; reproduces test_statistic bit for bit."""
-    n = x.shape[1]
-    absx = np.abs(x)
-    eta = np.partition(absx, n - d, axis=1)[:, n - d]
-    y = np.where(absx <= eta[:, None], x, 0.0)
-    trimmed_mean = y.sum(axis=1) / n
-    centered_sum_sq = ((y - trimmed_mean[:, None]) ** 2).sum(axis=1)
-    if np.any(centered_sum_sq == 0.0):
-        raise DegenerateSampleError("a replicate retained only identical values")
-    s = np.cumsum(y, axis=1)
-    frac = np.arange(1, n + 1) / n
-    sup = np.abs(s - s[:, -1:] * frac).max(axis=1)
-    return sup / np.sqrt(centered_sum_sq)
+def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
+    """Test statistic of each row of a block whose row i is replicate start + i.
+
+    A zero or non-finite trimmed sum of squares (identical retained values, or
+    draws that overflowed) leaves the statistic undefined; the first such
+    replicate is reported instead of letting a NaN reach the aggregates.
+    """
+    rows = _trim_rows(x, d)
+    css = rows.centered_sum_sq
+    bad = np.flatnonzero(~(np.isfinite(css) & (css > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DegenerateSampleError(
+            f"replicate {start + i} (master seed {seed}, n={x.shape[1]}, d={d}) has "
+            f"trimmed sum of squares {css[i]!r}, so its statistic is undefined"
+        )
+    return rows.statistics()
 
 
-def _job_chunk(n: int) -> int:
-    """Replicates per job: fixed by n alone so results never depend on workers."""
-    return max(32, min(4096, _BATCH_ELEMS // max(n, 1)))
+def _blocks(model: TailModel, n: int, seed: int, start: int, count: int):
+    """(offset, sample block) pairs covering replicates start .. start+count-1."""
+    rows = max(1, min(count, _BATCH_ELEMS // max(n, 1)))
+    for off in range(0, count, rows):
+        yield off, _sample_block(model, n, seed, start + off, min(rows, count - off))
 
 
-def _batch_rows(n: int, count: int) -> int:
-    return max(1, min(count, _BATCH_ELEMS // max(n, 1)))
+def _run_jobs(
+    fn, workers: int, model: TailModel, n: int, d: int, seed: int, total: int, *extra
+) -> list:
+    """fn of each job's payload (model, n, d, seed, start, count, *extra).
 
-
-def _run_jobs(fn, payloads: list, workers: int) -> list:
+    Replicates 0..total-1 are split into jobs of a size fixed by n alone, so
+    results never depend on the worker count.
+    """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if total < 1:
+        raise ValueError("reps must be at least 1")
+    chunk = max(32, min(4096, _BATCH_ELEMS // max(n, 1)))
+    payloads = [
+        (model, n, d, seed, start, min(chunk, total - start), *extra)
+        for start in range(0, total, chunk)
+    ]
     if workers == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
-def _replicate_jobs(total: int, n: int) -> list[tuple[int, int]]:
-    chunk = _job_chunk(n)
-    return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
-
-
 def _null_stats_job(args) -> np.ndarray:
     model, n, d, seed, start, count = args
     out = np.empty(count)
-    rows = _batch_rows(n, count)
-    for off in range(0, count, rows):
-        c = min(rows, count - off)
-        x = _sample_block(model, n, seed, start + off, c)
-        out[off : off + c] = _batch_statistics(x, d)
+    for off, x in _blocks(model, n, seed, start, count):
+        out[off : off + len(x)] = _statistics(x, d, seed, start + off)
     return out
 
 
 def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
     """The N replicated test statistics under the no-change hypothesis."""
-    d = spec.trim_depth
-    payloads = [
-        (spec.model, spec.n, d, spec.master_seed, start, count)
-        for start, count in _replicate_jobs(spec.replications, spec.n)
-    ]
-    return np.concatenate(_run_jobs(_null_stats_job, payloads, workers))
+    jobs = _run_jobs(
+        _null_stats_job, workers, spec.model, spec.n, spec.trim_depth, spec.master_seed,
+        spec.replications,
+    )
+    return np.concatenate(jobs)
 
 
 def rejection_rate(spec: SimulationSpec, critical_value: float, workers: int = 1) -> float:
@@ -258,14 +264,11 @@ def critical_value_table(
 def _power_job(args) -> np.ndarray:
     model, n, d, seed, start, count, change_at, grid, crit = args
     counts = np.zeros(len(grid), dtype=np.int64)
-    rows = _batch_rows(n, count)
-    for off in range(0, count, rows):
-        c = min(rows, count - off)
-        errors = _sample_block(model, n, seed, start + off, c)
+    for off, errors in _blocks(model, n, seed, start, count):
         for gi, shift in enumerate(grid):
             x = errors.copy()
             x[:, change_at:] += shift
-            counts[gi] += int(np.count_nonzero(_batch_statistics(x, d) > crit))
+            counts[gi] += int(np.count_nonzero(_statistics(x, d, seed, start + off) > crit))
     return counts
 
 
@@ -276,22 +279,11 @@ def power_curve(spec: PowerSpec, workers: int = 1) -> list[tuple[float, float]]:
     curves for different change locations or levels are directly comparable.
     """
     base = spec.base
-    d = base.trim_depth
-    payloads = [
-        (
-            base.model,
-            base.n,
-            d,
-            base.master_seed,
-            start,
-            count,
-            spec.change_at,
-            spec.shift_grid,
-            spec.critical_value,
-        )
-        for start, count in _replicate_jobs(base.replications, base.n)
-    ]
-    counts = sum(_run_jobs(_power_job, payloads, workers))
+    jobs = _run_jobs(
+        _power_job, workers, base.model, base.n, base.trim_depth, base.master_seed,
+        base.replications, spec.change_at, spec.shift_grid, spec.critical_value,
+    )
+    counts = sum(jobs)
     return [
         (shift, int(c) / base.replications) for shift, c in zip(spec.shift_grid, counts)
     ]
@@ -317,13 +309,9 @@ def _centering_job(args) -> np.ndarray:
     model, n, d, seed, start, count = args
     scale = centering_scale(model, d, n)
     out = np.empty(count)
-    rows = _batch_rows(n, count)
-    for off in range(0, count, rows):
-        c = min(rows, count - off)
-        x = _sample_block(model, n, seed, start + off, c)
-        absx = np.abs(x)
-        eta = np.partition(absx, n - d, axis=1)[:, n - d]
-        out[off : off + c] = n * mean_shift(model, eta, d, n) / scale
+    for off, x in _blocks(model, n, seed, start, count):
+        eta = _trim_rule(x, d)[0]
+        out[off : off + eta.size] = n * mean_shift(model, eta, d, n) / scale
     return out
 
 
@@ -338,12 +326,7 @@ def centering_normality_diagnostic(
     reports the sample mean, sample variance (absent when reps = 1) and the
     KS distance to N(0, 1).
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    payloads = [
-        (model, n, d, seed, start, count) for start, count in _replicate_jobs(reps, n)
-    ]
-    vals = np.concatenate(_run_jobs(_centering_job, payloads, workers))
+    vals = np.concatenate(_run_jobs(_centering_job, workers, model, n, d, seed, reps))
     variance = float(np.var(vals, ddof=1)) if reps > 1 else None
     return DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
 
@@ -354,15 +337,10 @@ def _gap_job(args) -> tuple[np.ndarray, np.ndarray]:
     scale = truncated_sum_scale(model, d, n)
     centered = np.empty(count)
     uncentered = np.empty(count)
-    rows = _batch_rows(n, count)
-    for off in range(0, count, rows):
-        c = min(rows, count - off)
-        x = _sample_block(model, n, seed, start + off, c)
-        absx = np.abs(x)
-        eta = np.partition(absx, n - d, axis=1)[:, n - d]
-        terms = x * ((absx <= eta[:, None]).astype(float) - (absx <= threshold).astype(float))
+    for off, x in _blocks(model, n, seed, start, count):
+        eta, terms = _gap_terms(x, d, threshold)
         center = mean_shift(model, eta, d, n)
-        sl = slice(off, off + c)
+        sl = slice(off, off + eta.size)
         uncentered[sl] = np.abs(np.cumsum(terms, axis=1)).max(axis=1) / scale
         centered[sl] = (
             np.abs(np.cumsum(terms - center[:, None], axis=1)).max(axis=1) / scale
@@ -380,12 +358,7 @@ def trim_truncation_divergence(
     one stays bounded away from zero for asymmetric laws, which is exactly the
     effect of the random centering term.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    payloads = [
-        (model, n, d, seed, start, count) for start, count in _replicate_jobs(reps, n)
-    ]
-    results = _run_jobs(_gap_job, payloads, workers)
+    results = _run_jobs(_gap_job, workers, model, n, d, seed, reps)
     centered = np.concatenate([r[0] for r in results])
     uncentered = np.concatenate([r[1] for r in results])
     return GapSummary(float(np.median(centered)), float(np.median(uncentered)))

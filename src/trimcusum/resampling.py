@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import stream_generator
-from .trimmed_cusum import CusumPath, DegenerateSampleError, cusum_path, trim
+from .trimmed_cusum import (
+    CusumPath, DegenerateSampleError, TrimmedSample, _path_sup, cusum_path, trim
+)
 
 __all__ = [
     "WITH_REPLACEMENT",
@@ -31,6 +33,11 @@ __all__ = [
 
 WITH_REPLACEMENT = "with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
+
+# Draws per block pushed through the path step in one call: enough rows to
+# amortize the per-call overhead, few enough that the block's temporaries stay
+# small (all B x m draws at once would cost tens of MB at B = 1000, m = 1000).
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,20 +73,28 @@ class CriticalValueEstimate:
     standard_error: float
 
 
-def empirical_quantile(values, level: float) -> float:
-    """Ceiling order statistic: the ceil(B * level)-th smallest value.
-
-    Conservative quantile convention shared by the resampling and Monte Carlo
-    estimators.  The 1e-9 guard keeps B * level from crossing an integer
-    boundary through float rounding alone.
-    """
+def _quantile_and_error(values, level: float) -> tuple[float, float]:
+    """The ceil(B * level)-th smallest value (the 1e-9 guard keeps B * level
+    from crossing an integer through float rounding alone) and its
+    distribution-free dispersion: half the spread between the order
+    statistics one binomial standard deviation to either side of that rank."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("cannot take a quantile of an empty collection")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    rank = math.ceil(v.size * level - 1e-9)
-    return float(v[max(rank, 1) - 1])
+    count = v.size
+    rank = max(math.ceil(count * level - 1e-9), 1)
+    spread = math.sqrt(count * level * (1.0 - level))
+    lo = min(max(int(math.floor(rank - spread)), 1), count)
+    hi = min(max(int(math.ceil(rank + spread)), 1), count)
+    return float(v[rank - 1]), float(v[hi - 1] - v[lo - 1]) / 2.0
+
+
+def empirical_quantile(values, level: float) -> float:
+    """Ceiling order statistic: the ceil(B * level)-th smallest value, the
+    conservative convention shared by the resampling and Monte Carlo estimators."""
+    return _quantile_and_error(values, level)[0]
 
 
 def trimmed_centered(sample, d: int) -> np.ndarray:
@@ -112,24 +127,22 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
     """Empirical level-quantile of sup |T_mn| / (sigma_hat * sqrt(m)) over B resamples."""
-    ts = trim(sample, d)
+    return _critical_value(trim(sample, d), plan)
+
+
+def _critical_value(ts: TrimmedSample, plan: ResamplePlan) -> CriticalValueEstimate:
+    """resampled_critical_value of an already trimmed sample.  Replicate b
+    draws from its own stream; blocks of draws go through the path step."""
     if ts.sigma_hat == 0.0:
         raise DegenerateSampleError("all retained observations are identical")
     x = ts.trimmed_values - ts.trimmed_mean
-    if plan.mode == WITHOUT_REPLACEMENT and plan.m > ts.n:
-        raise ValueError(f"without-replacement draws need m <= n, got m={plan.m} > n={ts.n}")
     scale = ts.sigma_hat * math.sqrt(plan.m)
     b_total = plan.replications
+    rows = max(1, _BLOCK_ELEMS // plan.m)
     stats = np.empty(b_total)
-    for b in range(b_total):
-        stats[b] = cusum_path(_draw(x, plan, b)).sup_abs / scale
-    stats.sort()
-    rank = max(math.ceil(b_total * plan.level - 1e-9), 1)
-    value = float(stats[rank - 1])
-    # Distribution-free dispersion of the quantile: half the spread between the
-    # order statistics one binomial standard deviation to either side.
-    spread = math.sqrt(b_total * plan.level * (1.0 - plan.level))
-    lo = min(max(int(math.floor(rank - spread)), 1), b_total)
-    hi = min(max(int(math.ceil(rank + spread)), 1), b_total)
-    standard_error = float(stats[hi - 1] - stats[lo - 1]) / 2.0
+    for start in range(0, b_total, rows):
+        stop = min(start + rows, b_total)
+        block = np.array([_draw(x, plan, b) for b in range(start, stop)])
+        stats[start:stop] = _path_sup(block)[1] / scale
+    value, standard_error = _quantile_and_error(stats, plan.level)
     return CriticalValueEstimate(value, plan.level, b_total, standard_error)

@@ -4,7 +4,9 @@ The trim threshold is the d-th largest of |X_1|, ..., |X_n|; observations whose
 modulus exceeds it are zeroed (the threshold itself is kept, so exactly d-1
 values drop when all moduli are distinct).  The test statistic is the sup of
 the tied-down partial-sum path of the trimmed values divided by the trimmed
-standard-deviation estimate times sqrt(n).
+standard-deviation estimate times sqrt(n).  One row-batched kernel,
+_trim_rows, computes all of it; the one-sample functions here, the Monte Carlo
+jobs and the CLI call it, and the resampler calls its path step, _path_sup.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "TestReport",
     "as_sample",
     "default_trim_depth",
-    "trim_threshold",
     "trim",
     "cusum_path",
     "test_statistic",
@@ -35,7 +36,8 @@ __all__ = [
 
 
 class DegenerateSampleError(ValueError):
-    """All retained observations are identical, so the variance estimate is zero."""
+    """The trimmed variance estimate is zero (all retained observations are
+    identical) or not finite, so the statistic is undefined."""
 
 
 def as_sample(values) -> np.ndarray:
@@ -124,14 +126,88 @@ def default_trim_depth(n: int) -> int:
     return max(2, int(math.floor(n ** 0.3 + 1e-9)))
 
 
-def trim_threshold(sample, d: int) -> float:
-    """The d-th largest of |values|; duplicates occupy consecutive ranks."""
+def _check_depth(d: int, n: int) -> None:
+    """The trim-depth contract of every entry point: 1 <= d < n."""
+    if not 1 <= d < n:
+        raise ValueError(f"trim depth d={d} must satisfy 1 <= d < n={n}")
+
+
+def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise threshold (d-th largest modulus) of an (R, n) block and the
+    inclusive indicator |x| <= threshold."""
+    n = x.shape[1]
+    _check_depth(d, n)
+    absx = np.abs(x)
+    # a copy, so that the partitioned block is freed before the caller goes on
+    threshold = np.partition(absx, n - d, axis=1)[:, n - d].copy()
+    return threshold, absx <= threshold[:, None]
+
+
+def _path_sup(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tied-down partial sums S_k - (k/n) S_n, k = 0..n, of each row of an
+    (R, n) block, with the row-wise max modulus and its first argmax.
+
+    points[:, 0] and points[:, n] are exactly zero: S_n is computed once and
+    k/n is exactly 1 at k = n, so the subtraction cancels bit-for-bit.  The
+    first argmax is therefore interior, or 0 on a flat path.
+    """
+    r, n = y.shape
+    points = np.zeros((r, n + 1))
+    np.cumsum(y, axis=1, out=points[:, 1:])
+    points -= points[:, -1:] * (np.arange(n + 1) / n)
+    abs_points = np.abs(points)
+    argmax = abs_points.argmax(axis=1)
+    return points, abs_points[np.arange(r), argmax], argmax
+
+
+class _Rows(NamedTuple):
+    """The trimmed-CUSUM kernel's output for an (R, n) block, row by row."""
+
+    threshold: np.ndarray  # (R,)
+    kept: np.ndarray  # (R, n)
+    values: np.ndarray  # (R, n) trimmed values, zero where not kept
+    mean: np.ndarray  # (R,) over all n slots
+    centered_sum_sq: np.ndarray  # (R,)
+    points: np.ndarray  # (R, n + 1) tied-down path of the trimmed values
+    sup: np.ndarray  # (R,)
+    argmax: np.ndarray  # (R,)
+
+    def statistics(self) -> np.ndarray:
+        """sup / sqrt(centered_sum_sq) = sup / (sigma_hat * sqrt(n)) per row."""
+        if np.any(self.centered_sum_sq == 0.0):
+            raise DegenerateSampleError("all retained observations are identical")
+        return self.sup / np.sqrt(self.centered_sum_sq)
+
+    def sample(self, source: np.ndarray, d: int, i: int = 0) -> TrimmedSample:
+        css = float(self.centered_sum_sq[i])
+        sigma_hat = math.sqrt(css / source.size)
+        threshold, mean = float(self.threshold[i]), float(self.mean[i])
+        return TrimmedSample(source, d, threshold, self.kept[i], mean, css, sigma_hat)
+
+    def path(self, i: int = 0) -> CusumPath:
+        return CusumPath(self.points[i], float(self.sup[i]), int(self.argmax[i]))
+
+
+def _trim_rows(x: np.ndarray, d: int) -> _Rows:
+    """The trimmed-CUSUM kernel: trim each row of an (R, n) block at its d-th
+    largest modulus, centre at the trimmed mean, and build the tied-down path."""
+    n = x.shape[1]
+    threshold, kept = _trim_rule(x, d)
+    values = np.where(kept, x, 0.0)
+    mean = values.sum(axis=1) / n
+    centered_sum_sq = ((values - mean[:, None]) ** 2).sum(axis=1)
+    return _Rows(threshold, kept, values, mean, centered_sum_sq, *_path_sup(values))
+
+
+def _trim_one(sample, d: int) -> tuple[np.ndarray, _Rows]:
     v = as_sample(sample)
-    n = v.size
-    if not 1 <= d <= n:
-        raise ValueError(f"trim depth d={d} must satisfy 1 <= d <= n={n}")
-    a = np.abs(v)
-    return float(np.partition(a, n - d)[n - d])
+    return v, _trim_rows(v[None, :], d)
+
+
+def _gap_terms(x: np.ndarray, d: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise trim thresholds eta and X_j * (1{|X_j| <= eta} - 1{|X_j| <= threshold})."""
+    eta, kept = _trim_rule(x, d)
+    return eta, x * (kept.astype(float) - (np.abs(x) <= threshold).astype(float))
 
 
 def trim(sample, d: int) -> TrimmedSample:
@@ -141,39 +217,23 @@ def trim(sample, d: int) -> TrimmedSample:
     distinct moduli exactly d-1 observations are zeroed out.  sigma_hat may be
     zero here; downstream consumers flag that case.
     """
-    v = as_sample(sample)
-    n = v.size
-    if not 1 <= d < n:
-        raise ValueError(f"trim depth d={d} must satisfy 1 <= d < n={n}")
-    threshold = float(np.partition(np.abs(v), n - d)[n - d])
-    kept = np.abs(v) <= threshold
-    y = np.where(kept, v, 0.0)
-    trimmed_mean = float(y.sum() / n)
-    centered_sum_sq = float(((y - trimmed_mean) ** 2).sum())
-    sigma_hat = math.sqrt(centered_sum_sq / n)
-    return TrimmedSample(v, d, threshold, kept, trimmed_mean, centered_sum_sq, sigma_hat)
+    v, rows = _trim_one(sample, d)
+    return rows.sample(v, d)
 
 
 def cusum_path(terms) -> CusumPath:
     """Tied-down partial sums of the given terms.
 
-    points[0] and points[n] are exactly zero: S_n is computed once and k/n is
-    exactly 1 at k = n, so the subtraction cancels bit-for-bit.  A length-one
-    input yields the two-point zero path.
+    points[0] and points[n] are exactly zero.  A length-one input yields the
+    two-point zero path.
     """
     y = np.asarray(terms, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("terms must be a nonempty one-dimensional vector")
     if not np.all(np.isfinite(y)):
         raise ValueError("terms must be finite")
-    n = y.size
-    s = np.empty(n + 1)
-    s[0] = 0.0
-    np.cumsum(y, out=s[1:])
-    points = s - (np.arange(n + 1) / n) * s[n]
-    abs_points = np.abs(points)
-    argmax = int(np.argmax(abs_points))
-    return CusumPath(points, float(abs_points[argmax]), argmax)
+    points, sup, argmax = _path_sup(y[None, :])
+    return CusumPath(points[0], float(sup[0]), int(argmax[0]))
 
 
 def test_statistic(sample, d: int) -> float:
@@ -183,11 +243,7 @@ def test_statistic(sample, d: int) -> float:
     Scale-invariant: multiplying the sample by any lambda > 0 leaves it
     unchanged.
     """
-    ts = trim(sample, d)
-    if ts.sigma_hat == 0.0:
-        raise DegenerateSampleError("all retained observations are identical")
-    path = cusum_path(ts.trimmed_values)
-    return path.sup_abs / math.sqrt(ts.centered_sum_sq)
+    return float(_trim_one(sample, d)[1].statistics()[0])
 
 
 def truncated_cusum_path(sample, threshold: float) -> CusumPath:
@@ -200,21 +256,21 @@ def truncated_cusum_path(sample, threshold: float) -> CusumPath:
 
 def trim_trunc_gap(sample, d: int, threshold: float) -> float:
     """Componentwise sup distance between the trimmed and truncated CUSUM paths."""
-    trimmed = cusum_path(trim(sample, d).trimmed_values)
-    truncated = truncated_cusum_path(sample, threshold)
-    return float(np.abs(trimmed.points - truncated.points).max())
+    v, rows = _trim_one(sample, d)
+    truncated = truncated_cusum_path(v, threshold)
+    return float(np.abs(rows.points[0] - truncated.points).max())
 
 
 def locate_change(path: CusumPath) -> ChangeLocation:
     """Smallest interior k maximizing |points[k]|, 1 <= k <= n-1.
 
-    A flat (all-zero) path carries no location information; k = 1 is returned
-    with the degenerate flag set.
+    The path's first argmax is that k, or 0 on a flat (all-zero) path, which
+    carries no location information; k = 1 is returned with the degenerate
+    flag set.
     """
-    interior = np.abs(path.points[1:-1])
-    if interior.size == 0 or interior.max() == 0.0:
+    if path.argmax_k == 0:
         return ChangeLocation(1, True)
-    return ChangeLocation(int(np.argmax(interior)) + 1, False)
+    return ChangeLocation(path.argmax_k, False)
 
 
 def centered_gap_process(sample, d: int, threshold: float, center: float) -> float:
@@ -225,13 +281,7 @@ def centered_gap_process(sample, d: int, threshold: float, center: float) -> flo
     mean shift evaluated at eta (see heavy_tail_models.mean_shift).
     """
     v = as_sample(sample)
-    n = v.size
-    if not 1 <= d < n:
-        raise ValueError(f"trim depth d={d} must satisfy 1 <= d < n={n}")
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    eta = float(np.partition(np.abs(v), n - d)[n - d])
-    a = np.abs(v)
-    indicator = (a <= eta).astype(float) - (a <= threshold).astype(float)
-    terms = v * indicator - center
-    return float(np.abs(np.cumsum(terms)).max())
+    terms = _gap_terms(v[None, :], d, threshold)[1][0]
+    return float(np.abs(np.cumsum(terms - center)).max())

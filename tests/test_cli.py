@@ -218,6 +218,28 @@ def test_workers_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_workers_flag_beats_env(capsys, monkeypatch):
+    import trimcusum.cli as cli
+
+    seen = []
+    real = cli.critical_value_table
+
+    def spy(spec, n_list, workers=1):
+        seen.append(workers)
+        return real(spec, n_list, workers=1)
+
+    monkeypatch.setattr(cli, "critical_value_table", spy)
+    argv = ("simulate", "--n", "20", "--reps", "10")
+    monkeypatch.setenv("TRIMCUSUM_WORKERS", "3")
+    assert run_cli(capsys, *argv, "--workers", "2")[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("TRIMCUSUM_WORKERS", "not-a-number")
+    assert run_cli(capsys, *argv, "--workers", "1")[0] == 0
+    monkeypatch.delenv("TRIMCUSUM_WORKERS")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert seen == [2, 3, 1, 1]
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "trimcusum.cli", "quantile", "--level", "0.95"],

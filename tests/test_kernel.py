@@ -1,0 +1,123 @@
+"""Bit identity of the row-batched trimmed-CUSUM kernel.
+
+The references below are the one-sample formulas written out directly; the
+kernel must reproduce them bit for bit on every row, and the blocked resampler
+must reproduce the one-replicate-at-a-time loop.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_array_equal
+
+import trimcusum.resampling as resampling
+from trimcusum import (
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    ResamplePlan,
+    cusum_path,
+    empirical_quantile,
+    resampled_critical_value,
+    resampled_path,
+    sample_iid,
+    test_statistic as trimmed_statistic,
+    trim,
+    trimmed_centered,
+    two_sided_pareto,
+)
+from trimcusum.trimmed_cusum import _trim_rows
+
+
+def reference_path(y):
+    n = y.size
+    s = np.empty(n + 1)
+    s[0] = 0.0
+    np.cumsum(y, out=s[1:])
+    points = s - (np.arange(n + 1) / n) * s[n]
+    abs_points = np.abs(points)
+    k = int(np.argmax(abs_points))
+    return points, float(abs_points[k]), k
+
+
+def reference_trim(v, d):
+    n = v.size
+    threshold = float(np.partition(np.abs(v), n - d)[n - d])
+    y = np.where(np.abs(v) <= threshold, v, 0.0)
+    mean = float(y.sum() / n)
+    return threshold, y, mean, float(((y - mean) ** 2).sum())
+
+
+def check_rows(x, d):
+    rows = _trim_rows(x, d)
+    for i, v in enumerate(x):
+        threshold, y, mean, css = reference_trim(v, d)
+        points, sup, k = reference_path(y)
+        assert rows.threshold[i] == threshold
+        assert_array_equal(rows.values[i], y)
+        assert rows.mean[i] == mean
+        assert rows.centered_sum_sq[i] == css
+        assert_array_equal(rows.points[i], points)
+        assert (rows.sup[i], rows.argmax[i]) == (sup, k)
+        path = cusum_path(y)
+        assert_array_equal(path.points, points)
+        assert (path.sup_abs, path.argmax_k) == (sup, k)
+        if css > 0.0:
+            assert trimmed_statistic(v, d) == sup / math.sqrt(css)
+    return rows
+
+
+@pytest.mark.parametrize("r,n", [(7, 53), (3, 1000), (1, 2), (2, 100_003)])
+def test_kernel_rows_match_one_sample_formulas(r, n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_cauchy((r, n))
+    for d in sorted({d for d in (1, 2, n // 3, n - 1) if 1 <= d < n}):
+        rows = check_rows(x, d)
+        assert_array_equal(rows.statistics(), [trimmed_statistic(v, d) for v in x])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=24),
+        elements=st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
+    ),
+    data=st.data(),
+)
+def test_kernel_rows_property(x, data):
+    d = data.draw(st.integers(1, x.shape[1] - 1))
+    check_rows(x, d)
+
+
+def reference_critical_value(sample, d, plan):
+    ts = trim(sample, d)
+    x = trimmed_centered(sample, d)
+    scale = ts.sigma_hat * math.sqrt(plan.m)
+    stats = np.sort(
+        [resampled_path(x, plan, b).sup_abs / scale for b in range(plan.replications)]
+    )
+    b_total = plan.replications
+    rank = max(math.ceil(b_total * plan.level - 1e-9), 1)
+    spread = math.sqrt(b_total * plan.level * (1.0 - plan.level))
+    lo = min(max(int(math.floor(rank - spread)), 1), b_total)
+    hi = min(max(int(math.ceil(rank + spread)), 1), b_total)
+    return empirical_quantile(stats, plan.level), float(stats[hi - 1] - stats[lo - 1]) / 2.0
+
+
+@pytest.mark.parametrize("block_rows", [None, 7, 64])
+@pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
+@pytest.mark.parametrize("n,m", [(37, 37), (200, 71), (200, 1), (1000, 1000)])
+def test_blocked_resampling_matches_replicate_loop(monkeypatch, block_rows, mode, n, m):
+    if block_rows is not None:
+        monkeypatch.setattr(resampling, "_BLOCK_ELEMS", block_rows * m)
+    sample = sample_iid(two_sided_pareto(1.5), n, seed=n + m)
+    d = 3
+    plan = ResamplePlan(m=m, mode=mode, replications=150, level=0.9, seed=4)
+    # 150 replicates are never a whole number of blocks at these sizes
+    assert plan.replications % (resampling._BLOCK_ELEMS // m) != 0
+    est = resampled_critical_value(sample, d, plan)
+    assert (est.value, est.standard_error) == reference_critical_value(sample, d, plan)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from trimcusum import BridgeSupDist, sup_bridge_cdf, sup_bridge_quantile
+from trimcusum import sup_bridge_cdf, sup_bridge_quantile
 
 
 def test_cdf_at_zero_and_below():
@@ -57,11 +57,10 @@ def test_quantile_domain_errors():
             sup_bridge_quantile(bad)
 
 
-def test_dataclass_wrapper():
-    dist = BridgeSupDist()
-    assert dist.cdf(1.0) == sup_bridge_cdf(1.0)
-    assert dist.quantile(0.9) == sup_bridge_quantile(0.9)
+def test_cdf_rejects_bad_series_settings():
     with pytest.raises(ValueError):
-        BridgeSupDist(series_tolerance=0.0)
+        sup_bridge_cdf(1.0, series_tolerance=0.0)
     with pytest.raises(ValueError):
-        BridgeSupDist(max_terms=0)
+        sup_bridge_cdf(1.0, max_terms=0)
+    with pytest.raises(ValueError):
+        sup_bridge_quantile(0.9, max_terms=0)

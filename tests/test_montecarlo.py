@@ -6,6 +6,7 @@ from numpy.testing import assert_array_equal
 
 from trimcusum import (
     ChangeSpec,
+    DegenerateSampleError,
     PowerSpec,
     SimulationSpec,
     centering_normality_diagnostic,
@@ -27,7 +28,8 @@ from trimcusum import (
     truncated_sum_scale,
     two_sided_pareto,
 )
-from trimcusum.montecarlo import _batch_statistics, _sample_block
+from trimcusum.montecarlo import _sample_block, _statistics
+from trimcusum.trimmed_cusum import _trim_rows
 
 MODEL = two_sided_pareto(1.5)
 
@@ -105,9 +107,27 @@ def test_batch_statistics_match_scalar_path():
     spec = SimulationSpec(MODEL, n=73, replications=50, master_seed=13)
     d = spec.trim_depth
     block = _sample_block(MODEL, spec.n, spec.master_seed, 0, spec.replications)
-    batch = _batch_statistics(block, d)
+    batch = _trim_rows(block, d).statistics()
     scalar = np.array([trimmed_statistic(generate_null(spec, r), d) for r in range(50)])
     assert_array_equal(batch, scalar)
+    assert_array_equal(null_statistics(spec), scalar)
+
+
+def test_overflowing_draws_raise_instead_of_nan():
+    # alpha = 0.01 draws overflow to inf, so the trimmed sum of squares is NaN
+    spec = SimulationSpec(two_sided_pareto(0.01), n=100_000, replications=4)
+    named = r"replicate 0 \(master seed 0, n=100000, d=31\)"
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateSampleError, match=named):
+            null_statistics(spec)
+        with pytest.raises(DegenerateSampleError):
+            rejection_rate(spec, 1.3)
+
+
+def test_zero_variance_replicate_is_named():
+    x = np.vstack([np.arange(10.0), np.full(10, 2.0)])
+    with pytest.raises(DegenerateSampleError, match=r"replicate 8 \(master seed 5, n=10, d=2\)"):
+        _statistics(x, 2, seed=5, start=7)
 
 
 def test_null_statistics_deterministic_and_batch_invariant():

@@ -14,7 +14,6 @@ from trimcusum import (
     locate_change,
     test_statistic as trimmed_statistic,
     trim,
-    trim_threshold,
     trim_trunc_gap,
     truncated_cusum_path,
 )
@@ -32,13 +31,13 @@ def test_default_trim_depth():
 
 
 def test_trim_threshold(hand_sample):
-    assert trim_threshold(hand_sample, 1) == 4.0
-    assert trim_threshold(hand_sample, 2) == 3.0
-    assert trim_threshold(hand_sample, 5) == 0.5
+    assert trim(hand_sample, 1).threshold == 4.0
+    assert trim(hand_sample, 2).threshold == 3.0
+    assert trim(hand_sample, 4).threshold == 1.0
     with pytest.raises(ValueError):
-        trim_threshold(hand_sample, 0)
+        trim(hand_sample, 0)
     with pytest.raises(ValueError):
-        trim_threshold(hand_sample, 6)
+        trim(hand_sample, 6)
 
 
 def test_trim_threshold_ties_keep_everything():
@@ -154,7 +153,7 @@ def test_truncated_cusum_path(hand_sample):
 
 
 def test_trim_trunc_gap(hand_sample):
-    assert trim_trunc_gap(hand_sample, 2, trim_threshold(hand_sample, 2)) == 0.0
+    assert trim_trunc_gap(hand_sample, 2, trim(hand_sample, 2).threshold) == 0.0
     expected = np.abs(np.array(HAND_PATH) - np.array([0.0, -0.3, -1.6, -1.4, -1.7, 0.0])).max()
     assert trim_trunc_gap(hand_sample, 2, 2.5) == pytest.approx(expected, abs=1e-12)
     assert trim_trunc_gap(hand_sample, 2, 2.5) == pytest.approx(2.4, abs=1e-9)
@@ -183,7 +182,7 @@ def test_locate_change_degenerate():
 
 
 def test_centered_gap_process(hand_sample):
-    eta = trim_threshold(hand_sample, 2)
+    eta = trim(hand_sample, 2).threshold
     assert centered_gap_process(hand_sample, 2, eta, 0.0) == 0.0
     assert centered_gap_process(hand_sample, 2, 2.5, 0.1) == pytest.approx(2.9, abs=1e-9)
 
