@@ -38,7 +38,6 @@ from .montecarlo import (
     SimulationSpec,
     centering_normality_diagnostic,
     critical_value_table,
-    generate_alternative,
     generate_null,
     null_statistics,
     power_curve,
@@ -60,7 +59,6 @@ from .trimmed_cusum import (
     ChangeLocation,
     CusumPath,
     DegenerateSampleError,
-    TestReport,
     TrimmedSample,
     as_sample,
     centered_gap_process,

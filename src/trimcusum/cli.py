@@ -42,7 +42,6 @@ from .resampling import (
 )
 from .trimmed_cusum import (
     DegenerateSampleError,
-    TestReport,
     _trim_rows,
     default_trim_depth,
     locate_change,
@@ -124,13 +123,13 @@ def _json_doc(config: dict, body: dict) -> str:
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 
-def _series_and_depth(args) -> tuple[np.ndarray, int]:
-    series = load_series(args.input)
-    n = series.size
+def _depth(args, n: int) -> int:
+    """--d, else the default depth, for samples of size n.  The CLI requires
+    2 <= d < n: the library allows d = 1, which trims nothing."""
     d = args.d if args.d is not None else default_trim_depth(n)
     if not 2 <= d < n:
         raise UsageError(f"trim depth d={d} must satisfy 2 <= d < n={n}")
-    return series, d
+    return d
 
 
 def _plan(args, n: int, replications: int) -> ResamplePlan:
@@ -142,8 +141,9 @@ def _plan(args, n: int, replications: int) -> ResamplePlan:
 def _cmd_test(args) -> tuple[int, str]:
     """One kernel call gives the statistic, the trimmed estimates, the
     resampling input and the change location."""
-    series, d = _series_and_depth(args)
+    series = load_series(args.input)
     n = series.size
+    d = _depth(args, n)
     rows = _trim_rows(series[None, :], d)
     try:
         statistic = float(rows.statistics()[0])
@@ -159,14 +159,7 @@ def _cmd_test(args) -> tuple[int, str]:
         method = "resampled"
         critical = crit_resampled
     location = locate_change(rows.path())
-    report = TestReport(
-        statistic=statistic,
-        critical_value=critical,
-        level=args.level,
-        reject=statistic > critical,
-        change_at=location.k,
-        method=method,
-    )
+    reject = statistic > critical
     config = {
         "subcommand": "test",
         "input": args.input,
@@ -179,13 +172,13 @@ def _cmd_test(args) -> tuple[int, str]:
     }
     body = {
         "n": n,
-        "statistic": _sig6(report.statistic),
+        "statistic": _sig6(statistic),
         "critical_value_asymptotic": _sig6(crit_asym),
         "critical_value_resampled": None if crit_resampled is None else _sig6(crit_resampled),
-        "critical_value_used": _sig6(report.critical_value),
-        "method": report.method,
-        "reject": report.reject,
-        "change_at": report.change_at,
+        "critical_value_used": _sig6(critical),
+        "method": method,
+        "reject": reject,
+        "change_at": location.k,
         "degenerate_path": location.degenerate,
         "threshold": _sig6(ts.threshold),
         "trimmed_mean": _sig6(ts.trimmed_mean),
@@ -196,19 +189,22 @@ def _cmd_test(args) -> tuple[int, str]:
         text = _csv(header, [[body[k] for k in header]])
     else:
         text = _json_doc(config, body)
-    return (1 if report.reject else 0), text
+    return (1 if reject else 0), text
 
 
-def _spec(args, n: int) -> SimulationSpec:
+def _spec(args, n_list: list[int]) -> SimulationSpec:
+    """The spec at the first n; --d is checked against every n."""
+    for n in n_list:
+        _depth(args, n)
     return SimulationSpec(
-        _model_from_args(args), n=n, replications=args.reps, level=args.level,
+        _model_from_args(args), n=n_list[0], replications=args.reps, level=args.level,
         master_seed=args.seed, d=args.d,
     )
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
     n_list = _parse_n_list(args.n)
-    spec = _spec(args, n_list[0])
+    spec = _spec(args, n_list)
     rows = [[_inf_str(n), cv] for n, cv in critical_value_table(spec, n_list, workers=_resolve_workers(args))]
     if args.format == "json":
         return 0, _json_doc(_sim_config("simulate", args, n_list), {"table": rows})
@@ -216,7 +212,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
 
 
 def _cmd_power(args) -> tuple[int, str]:
-    spec = _spec(args, args.n)
+    spec = _spec(args, [args.n])
     change_at = args.change_at if args.change_at is not None else args.n // 2
     critical = args.critical_value
     if critical is None:
@@ -231,7 +227,8 @@ def _cmd_power(args) -> tuple[int, str]:
 
 
 def _cmd_resample(args) -> tuple[int, str]:
-    series, d = _series_and_depth(args)
+    series = load_series(args.input)
+    d = _depth(args, series.size)
     plan = _plan(args, series.size, args.reps)
     try:
         est = resampled_critical_value(series, d, plan)
@@ -261,7 +258,7 @@ def _cmd_resample(args) -> tuple[int, str]:
 
 def _cmd_diagnose(args) -> tuple[int, str]:
     model = one_sided_pareto(args.alpha)
-    d = args.d if args.d is not None else default_trim_depth(args.n)
+    d = _depth(args, args.n)
     workers = _resolve_workers(args)
     summary = centering_normality_diagnostic(
         model, args.n, d, args.reps, seed=args.seed, workers=workers
@@ -329,22 +326,27 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _add_common(sub, *, with_model=False, with_workers=False) -> None:
-    sub.add_argument("--level", type=float, default=0.95)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--d", type=int, default=None)
+# Options shared by several subcommands; each subcommand registers only those
+# it reads.
+_SHARED = {
+    "level": {"type": float, "default": 0.95},
+    "seed": {"type": int, "default": 0},
+    "d": {"type": int, "default": None},
+    "format": {"choices": ("json", "csv"), "default": None},
+    "family": {"choices": (TWO_SIDED_PARETO, ONE_SIDED_PARETO, GAUSSIAN),
+               "default": TWO_SIDED_PARETO},
+    "alpha": {"type": float, "default": 1.5},
+    "p": {"type": float, "default": 0.5},
+    "workers": {"type": int, "default": None},
+}
+_MODEL = ("family", "alpha", "p")
+
+
+def _add_shared(sub, *names: str) -> None:
+    """--output and the named shared options."""
     sub.add_argument("--output", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    if with_model:
-        sub.add_argument(
-            "--family",
-            choices=(TWO_SIDED_PARETO, ONE_SIDED_PARETO, GAUSSIAN),
-            default=TWO_SIDED_PARETO,
-        )
-        sub.add_argument("--alpha", type=float, default=1.5)
-        sub.add_argument("--p", type=float, default=0.5)
-    if with_workers:
-        sub.add_argument("--workers", type=int, default=None)
+    for name in names:
+        sub.add_argument(f"--{name}", **_SHARED[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,36 +361,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--resample-B", type=int, default=None, dest="resample_B")
     p_test.add_argument("--m", type=int, default=None)
     p_test.add_argument("--mode", choices=tuple(_MODE_NAMES), default="permutation")
-    _add_common(p_test)
+    _add_shared(p_test, "level", "seed", "d", "format")
 
     p_sim = subs.add_parser("simulate", help="simulate a critical-value table")
     p_sim.add_argument("--n", default="100,200,400,800")
     p_sim.add_argument("--reps", type=int, default=100_000)
-    _add_common(p_sim, with_model=True, with_workers=True)
+    _add_shared(p_sim, "level", "seed", "d", "format", *_MODEL, "workers")
 
     p_pow = subs.add_parser("power", help="simulate an empirical power curve")
     p_pow.add_argument("--n", type=int, required=True)
     p_pow.add_argument("--reps", type=int, default=10_000)
     p_pow.add_argument("--change-at", type=int, default=None, dest="change_at")
     p_pow.add_argument("--critical-value", type=float, default=None, dest="critical_value")
-    _add_common(p_pow, with_model=True, with_workers=True)
+    _add_shared(p_pow, "level", "seed", "d", "format", *_MODEL, "workers")
 
     p_res = subs.add_parser("resample", help="resampled critical value for a CSV series")
     p_res.add_argument("--input", required=True)
     p_res.add_argument("--m", type=int, default=None)
     p_res.add_argument("--mode", choices=tuple(_MODE_NAMES), default="permutation")
     p_res.add_argument("--reps", type=int, default=2000)
-    _add_common(p_res)
+    _add_shared(p_res, "level", "seed", "d", "format")
 
     p_diag = subs.add_parser("diagnose", help="centering and gap diagnostics")
     p_diag.add_argument("--n", type=int, default=100_000)
     p_diag.add_argument("--reps", type=int, default=2000)
-    p_diag.add_argument("--alpha", type=float, default=1.5)
-    p_diag.add_argument("--workers", type=int, default=None)
-    _add_common(p_diag)
+    _add_shared(p_diag, "seed", "d", "alpha", "workers")
 
     p_q = subs.add_parser("quantile", help="asymptotic critical value")
-    _add_common(p_q)
+    _add_shared(p_q, "level", "format")
 
     return parser
 
@@ -410,16 +410,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not 0.0 < args.level < 1.0:
+        if "level" in args and not 0.0 < args.level < 1.0:
             raise UsageError("--level must lie in (0, 1)")
         code, text = _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"trimcusum: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"trimcusum: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"trimcusum: {exc}", file=sys.stderr)
         return 2
     if args.output:

@@ -17,14 +17,13 @@ __all__ = ["sup_bridge_cdf", "sup_bridge_quantile"]
 # Below this point the alternating series converges too slowly; the dual form
 # converges in one or two terms there and the two agree to ~1e-13 at the seam.
 _DUAL_CUTOFF = 0.2
+# The direct series stops at the first term below _SERIES_TOL, within _MAX_TERMS.
+_SERIES_TOL = 1e-12
+_MAX_TERMS = 100
 
 
-def sup_bridge_cdf(x: float, *, series_tolerance: float = 1e-12, max_terms: int = 100) -> float:
+def sup_bridge_cdf(x: float) -> float:
     """P{sup |B(t)| <= x}; zero for x <= 0, strictly increasing to one."""
-    if series_tolerance <= 0.0:
-        raise ValueError("series_tolerance must be positive")
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
     if x <= 0.0:
         return 0.0
     if x < _DUAL_CUTOFF:
@@ -39,30 +38,27 @@ def sup_bridge_cdf(x: float, *, series_tolerance: float = 1e-12, max_terms: int 
     acc = 0.0
     sign = 1.0
     term = math.inf
-    for k in range(1, max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         term = math.exp(-2.0 * k * k * x * x)
         acc += sign * term
         sign = -sign
-        if term < series_tolerance:
+        if term < _SERIES_TOL:
             break
     # Alternating with strictly decreasing terms: the remainder is bounded by
     # the first omitted term, so stopping under tolerance certifies the error.
-    if term >= series_tolerance:
+    if term >= _SERIES_TOL:
         raise ArithmeticError(
-            f"series did not reach tolerance {series_tolerance} within {max_terms} terms"
+            f"series did not reach tolerance {_SERIES_TOL} within {_MAX_TERMS} terms"
         )
     return min(max(1.0 - 2.0 * acc, 0.0), 1.0)
 
 
-def sup_bridge_quantile(
-    level: float, *, series_tolerance: float = 1e-12, max_terms: int = 100
-) -> float:
+def sup_bridge_quantile(level: float) -> float:
     """The x with sup_bridge_cdf(x) = level, by bracketed root-finding on [0, 5]."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in the open interval (0, 1)")
 
     def f(x: float) -> float:
-        return sup_bridge_cdf(x, series_tolerance=series_tolerance, max_terms=max_terms) - level
+        return sup_bridge_cdf(x) - level
 
     return float(brentq(f, 0.0, 5.0, xtol=1e-12, rtol=8.882e-16))
-

@@ -2,10 +2,10 @@
 
 Replicate r of a run always draws from substream r of the master seed, so every
 aggregate is a pure function of its spec and is bit-identical however the
-replicates are scheduled.  Work is split into jobs of a fixed replicate count
-(a function of n only, never of the worker count) and jobs may be evaluated in
-parallel processes; per-replicate statistics land in replicate order and are
-reduced once at the end.
+replicates are scheduled.  Replicates are split into blocks whose row count
+depends on n alone, never on the worker count; each block is one job, sampled
+once and evaluated as a whole, and jobs may run in parallel processes.
+Per-replicate results land in replicate order and are reduced once at the end.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from .heavy_tail_models import (
     centering_scale,
     gaussian,
     mean_shift,
+    sample_substream,
     tail_survival_inv,
     truncated_sum_scale,
 )
-from ._streams import stream_generator
+from ._streams import stream_uniforms
 from .limit_dist import sup_bridge_quantile
 from .resampling import empirical_quantile
 from .trimmed_cusum import (
-    DegenerateSampleError, _check_depth, _gap_terms, _trim_rows, _trim_rule, default_trim_depth
+    DegenerateSampleError, _check_depth, _gap_sup, _gap_terms, _trim_rows, _trim_rule,
+    default_trim_depth,
 )
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "GapSummary",
     "DEFAULT_SHIFT_GRID",
     "generate_null",
-    "generate_alternative",
     "null_statistics",
     "rejection_rate",
     "critical_value_table",
@@ -157,85 +158,69 @@ def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
     """i.i.d. draw of length n from substream `replicate` of the master seed."""
     if not 0 <= replicate < spec.replications:
         raise ValueError(f"replicate {replicate} outside [0, {spec.replications})")
-    return _sample_block(spec.model, spec.n, spec.master_seed, replicate, 1)[0]
-
-
-def generate_alternative(spec: SimulationSpec, change: ChangeSpec, replicate: int) -> np.ndarray:
-    """Same error stream as generate_null with segmentwise shifts added."""
-    return generate_null(spec, replicate) + change.shift_vector(spec.n)
+    return sample_substream(spec.model, spec.n, spec.master_seed, replicate)
 
 
 def _sample_block(model: TailModel, n: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Rows i = 0..count-1 are the substream start+i samples; matches
-    sample_substream row for row."""
+    """One job's sample block: row i holds the uniforms of substream start + i,
+    exactly as sample_substream draws them, and the whole block goes through
+    the inverse CDF in one call."""
     u = np.empty((count, n))
     for i in range(count):
-        u[i] = stream_generator(seed, start + i).random(n)
-    np.maximum(u, 2.0 ** -53, out=u)
+        u[i] = stream_uniforms(seed, start + i, n)
     return _quantile_unchecked(model, u)
 
 
 def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
     """Test statistic of each row of a block whose row i is replicate start + i.
 
-    A zero or non-finite trimmed sum of squares (identical retained values, or
-    draws that overflowed) leaves the statistic undefined; the first such
-    replicate is reported instead of letting a NaN reach the aggregates.
+    The first replicate without a statistic (identical retained values, or
+    draws that overflowed) is reported instead of letting a NaN reach the
+    aggregates.
     """
     rows = _trim_rows(x, d)
-    css = rows.centered_sum_sq
-    bad = np.flatnonzero(~(np.isfinite(css) & (css > 0.0)))
+    bad = rows.undefined()
     if bad.size:
         i = int(bad[0])
         raise DegenerateSampleError(
             f"replicate {start + i} (master seed {seed}, n={x.shape[1]}, d={d}) has "
-            f"trimmed sum of squares {css[i]!r}, so its statistic is undefined"
+            f"trimmed sum of squares {rows.centered_sum_sq[i]!r}, so its statistic is undefined"
         )
     return rows.statistics()
 
 
-def _blocks(model: TailModel, n: int, seed: int, start: int, count: int):
-    """(offset, sample block) pairs covering replicates start .. start+count-1."""
-    rows = max(1, min(count, _BATCH_ELEMS // max(n, 1)))
-    for off in range(0, count, rows):
-        yield off, _sample_block(model, n, seed, start + off, min(rows, count - off))
+def _job(args):
+    fn, model, n, d, seed, start, count, *extra = args
+    return fn(_sample_block(model, n, seed, start, count), d, seed, start, *extra)
 
 
 def _run_jobs(
     fn, workers: int, model: TailModel, n: int, d: int, seed: int, total: int, *extra
 ) -> list:
-    """fn of each job's payload (model, n, d, seed, start, count, *extra).
+    """fn(block, d, seed, start, *extra) of each sample block, in replicate order.
 
-    Replicates 0..total-1 are split into jobs of a size fixed by n alone, so
-    results never depend on the worker count.
+    Replicates 0..total-1 are split into blocks of a row count fixed by n
+    alone, so results never depend on the worker count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if total < 1:
         raise ValueError("reps must be at least 1")
-    chunk = max(32, min(4096, _BATCH_ELEMS // max(n, 1)))
+    rows = max(1, min(4096, _BATCH_ELEMS // max(n, 1)))
     payloads = [
-        (model, n, d, seed, start, min(chunk, total - start), *extra)
-        for start in range(0, total, chunk)
+        (fn, model, n, d, seed, start, min(rows, total - start), *extra)
+        for start in range(0, total, rows)
     ]
     if workers == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        return [_job(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _null_stats_job(args) -> np.ndarray:
-    model, n, d, seed, start, count = args
-    out = np.empty(count)
-    for off, x in _blocks(model, n, seed, start, count):
-        out[off : off + len(x)] = _statistics(x, d, seed, start + off)
-    return out
+        return list(pool.map(_job, payloads))
 
 
 def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
     """The N replicated test statistics under the no-change hypothesis."""
     jobs = _run_jobs(
-        _null_stats_job, workers, spec.model, spec.n, spec.trim_depth, spec.master_seed,
+        _statistics, workers, spec.model, spec.n, spec.trim_depth, spec.master_seed,
         spec.replications,
     )
     return np.concatenate(jobs)
@@ -261,14 +246,12 @@ def critical_value_table(
     return rows
 
 
-def _power_job(args) -> np.ndarray:
-    model, n, d, seed, start, count, change_at, grid, crit = args
+def _power_job(errors: np.ndarray, d: int, seed: int, start: int, change_at, grid, crit):
     counts = np.zeros(len(grid), dtype=np.int64)
-    for off, errors in _blocks(model, n, seed, start, count):
-        for gi, shift in enumerate(grid):
-            x = errors.copy()
-            x[:, change_at:] += shift
-            counts[gi] += int(np.count_nonzero(_statistics(x, d, seed, start + off) > crit))
+    for gi, shift in enumerate(grid):
+        x = errors.copy()
+        x[:, change_at:] += shift
+        counts[gi] = np.count_nonzero(_statistics(x, d, seed, start) > crit)
     return counts
 
 
@@ -305,14 +288,10 @@ def _ks_to_standard_normal(values: np.ndarray) -> float:
     return float(max((grid - f).max(), (f - (grid - 1.0 / count)).max()))
 
 
-def _centering_job(args) -> np.ndarray:
-    model, n, d, seed, start, count = args
-    scale = centering_scale(model, d, n)
-    out = np.empty(count)
-    for off, x in _blocks(model, n, seed, start, count):
-        eta = _trim_rule(x, d)[0]
-        out[off : off + eta.size] = n * mean_shift(model, eta, d, n) / scale
-    return out
+def _centering_job(x: np.ndarray, d: int, seed: int, start: int, model: TailModel):
+    n = x.shape[1]
+    eta = _trim_rule(x, d)[0]
+    return n * mean_shift(model, eta, d, n) / centering_scale(model, d, n)
 
 
 def centering_normality_diagnostic(
@@ -326,26 +305,17 @@ def centering_normality_diagnostic(
     reports the sample mean, sample variance (absent when reps = 1) and the
     KS distance to N(0, 1).
     """
-    vals = np.concatenate(_run_jobs(_centering_job, workers, model, n, d, seed, reps))
+    vals = np.concatenate(_run_jobs(_centering_job, workers, model, n, d, seed, reps, model))
     variance = float(np.var(vals, ddof=1)) if reps > 1 else None
     return DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
 
 
-def _gap_job(args) -> tuple[np.ndarray, np.ndarray]:
-    model, n, d, seed, start, count = args
-    threshold = tail_survival_inv(model, d / n)
+def _gap_job(x: np.ndarray, d: int, seed: int, start: int, model: TailModel):
+    n = x.shape[1]
+    eta, terms = _gap_terms(x, d, tail_survival_inv(model, d / n))
     scale = truncated_sum_scale(model, d, n)
-    centered = np.empty(count)
-    uncentered = np.empty(count)
-    for off, x in _blocks(model, n, seed, start, count):
-        eta, terms = _gap_terms(x, d, threshold)
-        center = mean_shift(model, eta, d, n)
-        sl = slice(off, off + eta.size)
-        uncentered[sl] = np.abs(np.cumsum(terms, axis=1)).max(axis=1) / scale
-        centered[sl] = (
-            np.abs(np.cumsum(terms - center[:, None], axis=1)).max(axis=1) / scale
-        )
-    return centered, uncentered
+    centered = _gap_sup(terms, mean_shift(model, eta, d, n)) / scale
+    return centered, _gap_sup(terms, 0.0) / scale
 
 
 def trim_truncation_divergence(
@@ -358,7 +328,7 @@ def trim_truncation_divergence(
     one stays bounded away from zero for asymmetric laws, which is exactly the
     effect of the random centering term.
     """
-    results = _run_jobs(_gap_job, workers, model, n, d, seed, reps)
+    results = _run_jobs(_gap_job, workers, model, n, d, seed, reps, model)
     centered = np.concatenate([r[0] for r in results])
     uncentered = np.concatenate([r[1] for r in results])
     return GapSummary(float(np.median(centered)), float(np.median(uncentered)))

@@ -135,8 +135,10 @@ def _critical_value(ts: TrimmedSample, plan: ResamplePlan) -> CriticalValueEstim
     draws from its own stream; blocks of draws go through the path step."""
     if ts.sigma_hat == 0.0:
         raise DegenerateSampleError("all retained observations are identical")
-    x = ts.trimmed_values - ts.trimmed_mean
-    scale = ts.sigma_hat * math.sqrt(plan.m)
+    # scaled by 2**-e as in the kernel, so that the resampled sums cannot overflow
+    e = math.frexp(ts.threshold)[1]
+    x = np.ldexp(ts.trimmed_values, -e) - math.ldexp(ts.trimmed_mean, -e)
+    scale = math.ldexp(ts.sigma_hat, -e) * math.sqrt(plan.m)
     b_total = plan.replications
     rows = max(1, _BLOCK_ELEMS // plan.m)
     stats = np.empty(b_total)

@@ -22,7 +22,6 @@ __all__ = [
     "TrimmedSample",
     "CusumPath",
     "ChangeLocation",
-    "TestReport",
     "as_sample",
     "default_trim_depth",
     "trim",
@@ -97,24 +96,6 @@ class ChangeLocation(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Outcome of one change-point test run."""
-
-    statistic: float
-    critical_value: float
-    level: float
-    reject: bool
-    change_at: int
-    method: str  # "asymptotic" or "resampled"
-
-    def __post_init__(self) -> None:
-        if self.method not in ("asymptotic", "resampled"):
-            raise ValueError("method must be 'asymptotic' or 'resampled'")
-        if self.reject != (self.statistic > self.critical_value):
-            raise ValueError("reject flag inconsistent with statistic and critical value")
-
-
 def default_trim_depth(n: int) -> int:
     """floor(n**0.3), clamped to at least 2.
 
@@ -161,26 +142,44 @@ def _path_sup(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Rows(NamedTuple):
-    """The trimmed-CUSUM kernel's output for an (R, n) block, row by row."""
+    """The trimmed-CUSUM kernel's output for an (R, n) block, row by row.  The
+    unscaled sum of squares, sup and points are inf past the float range."""
 
     threshold: np.ndarray  # (R,)
     kept: np.ndarray  # (R, n)
     values: np.ndarray  # (R, n) trimmed values, zero where not kept
     mean: np.ndarray  # (R,) over all n slots
-    centered_sum_sq: np.ndarray  # (R,)
+    exponent: np.ndarray  # (R,) e with 2**(e-1) <= threshold < 2**e
+    scaled_sum_sq: np.ndarray  # (R,) centred sum of squares * 2**(-2e)
     points: np.ndarray  # (R, n + 1) tied-down path of the trimmed values
-    sup: np.ndarray  # (R,)
+    scaled_sup: np.ndarray  # (R,) sup of the path * 2**-e
     argmax: np.ndarray  # (R,)
+
+    @property
+    def centered_sum_sq(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.scaled_sum_sq, 2 * self.exponent)
+
+    @property
+    def sup(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.scaled_sup, self.exponent)
+
+    def undefined(self) -> np.ndarray:
+        """Rows whose trimmed sum of squares is zero (identical retained
+        values) or not finite (non-finite draws): no statistic exists."""
+        return np.flatnonzero(~(np.isfinite(self.scaled_sum_sq) & (self.scaled_sum_sq > 0.0)))
 
     def statistics(self) -> np.ndarray:
         """sup / sqrt(centered_sum_sq) = sup / (sigma_hat * sqrt(n)) per row."""
-        if np.any(self.centered_sum_sq == 0.0):
-            raise DegenerateSampleError("all retained observations are identical")
-        return self.sup / np.sqrt(self.centered_sum_sq)
+        if self.undefined().size:
+            raise DegenerateSampleError(
+                "the trimmed sum of squares is zero (identical retained values) or not finite")
+        return self.scaled_sup / np.sqrt(self.scaled_sum_sq)
 
     def sample(self, source: np.ndarray, d: int, i: int = 0) -> TrimmedSample:
         css = float(self.centered_sum_sq[i])
-        sigma_hat = math.sqrt(css / source.size)
+        sigma_hat = math.ldexp(math.sqrt(self.scaled_sum_sq[i] / source.size), int(self.exponent[i]))
         threshold, mean = float(self.threshold[i]), float(self.mean[i])
         return TrimmedSample(source, d, threshold, self.kept[i], mean, css, sigma_hat)
 
@@ -188,15 +187,39 @@ class _Rows(NamedTuple):
         return CusumPath(self.points[i], float(self.sup[i]), int(self.argmax[i]))
 
 
+def _scaled(values: np.ndarray, exponent: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows of the trimmed values times 2**-exponent: at most 1 in modulus."""
+    return np.ldexp(values[rows], -exponent[rows, None])
+
+
 def _trim_rows(x: np.ndarray, d: int) -> _Rows:
     """The trimmed-CUSUM kernel: trim each row of an (R, n) block at its d-th
-    largest modulus, centre at the trimmed mean, and build the tied-down path."""
+    largest modulus, centre at the trimmed mean, and build the tied-down path.
+
+    The centred values are scaled by 2**-e (e the threshold's binary exponent)
+    before squaring, and a row whose unscaled sum or path overflows is summed
+    again scaled.  The scaling is exact: where the unscaled sums and squares
+    neither over- nor underflow, the results are bit-identical.
+    """
     n = x.shape[1]
     threshold, kept = _trim_rule(x, d)
     values = np.where(kept, x, 0.0)
-    mean = values.sum(axis=1) / n
-    centered_sum_sq = ((values - mean[:, None]) ** 2).sum(axis=1)
-    return _Rows(threshold, kept, values, mean, centered_sum_sq, *_path_sup(values))
+    exponent = np.frexp(threshold)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.sum(axis=1) / n
+        big = ~np.isfinite(mean)
+        mean[big] = np.ldexp(_scaled(values, exponent, big).sum(axis=1) / n, exponent[big])
+        centered = np.ldexp(values, -exponent[:, None])
+        centered -= np.ldexp(mean, -exponent)[:, None]
+        scaled_sum_sq = np.square(centered, out=centered).sum(axis=1)
+        del centered  # freed before the path step
+        points, sup, argmax = _path_sup(values)
+        scaled_sup = np.ldexp(sup, -exponent)
+        big = ~np.isfinite(sup)
+        if big.any():
+            scaled_points, scaled_sup[big], argmax[big] = _path_sup(_scaled(values, exponent, big))
+            points[big] = np.ldexp(scaled_points, exponent[big, None])
+    return _Rows(threshold, kept, values, mean, exponent, scaled_sum_sq, points, scaled_sup, argmax)
 
 
 def _trim_one(sample, d: int) -> tuple[np.ndarray, _Rows]:
@@ -208,6 +231,24 @@ def _gap_terms(x: np.ndarray, d: int, threshold: float) -> tuple[np.ndarray, np.
     """Row-wise trim thresholds eta and X_j * (1{|X_j| <= eta} - 1{|X_j| <= threshold})."""
     eta, kept = _trim_rule(x, d)
     return eta, x * (kept.astype(float) - (np.abs(x) <= threshold).astype(float))
+
+
+def _gap_sup(terms: np.ndarray, center) -> np.ndarray:
+    """max_k |sum_{j<=k} (terms_j - center)| of each row; center is a scalar
+    or one value per row."""
+    return np.abs(np.cumsum(terms - np.reshape(center, (-1, 1)), axis=1)).max(axis=1)
+
+
+def _truncation_sample(sample, threshold: float) -> np.ndarray:
+    """as_sample for a fixed truncation threshold, which must be nonnegative."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+    return as_sample(sample)
+
+
+def _gap_row(sample, d: int, threshold: float) -> np.ndarray:
+    """_gap_terms of one sample, as a (1, n) block."""
+    return _gap_terms(_truncation_sample(sample, threshold)[None, :], d, threshold)[1]
 
 
 def trim(sample, d: int) -> TrimmedSample:
@@ -248,17 +289,14 @@ def test_statistic(sample, d: int) -> float:
 
 def truncated_cusum_path(sample, threshold: float) -> CusumPath:
     """CUSUM path of X_j * 1{|X_j| <= threshold} for a fixed threshold."""
-    v = as_sample(sample)
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    v = _truncation_sample(sample, threshold)
     return cusum_path(np.where(np.abs(v) <= threshold, v, 0.0))
 
 
 def trim_trunc_gap(sample, d: int, threshold: float) -> float:
-    """Componentwise sup distance between the trimmed and truncated CUSUM paths."""
-    v, rows = _trim_one(sample, d)
-    truncated = truncated_cusum_path(v, threshold)
-    return float(np.abs(rows.points[0] - truncated.points).max())
+    """Componentwise sup distance between the trimmed and truncated CUSUM paths:
+    the paths are linear in their terms, so the sup of the path of the gap terms."""
+    return float(_path_sup(_gap_row(sample, d, threshold))[1][0])
 
 
 def locate_change(path: CusumPath) -> ChangeLocation:
@@ -280,8 +318,4 @@ def centered_gap_process(sample, d: int, threshold: float, center: float) -> flo
     - center]| where eta is the realized trim threshold and `center` is the
     mean shift evaluated at eta (see heavy_tail_models.mean_shift).
     """
-    v = as_sample(sample)
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    terms = _gap_terms(v[None, :], d, threshold)[1][0]
-    return float(np.abs(np.cumsum(terms - center)).max())
+    return float(_gap_sup(_gap_row(sample, d, threshold), center)[0])

@@ -117,6 +117,83 @@ def test_test_subcommand_bad_depth(capsys, hand_csv):
     assert code == 2
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_test_subcommand_is_scale_invariant_at_1e160(capsys, tmp_path):
+    from trimcusum import sample_iid, two_sided_pareto
+
+    x = sample_iid(two_sided_pareto(1.5), 50, 1)
+    reports = []
+    for scale in (1.0, 1e160):
+        path = tmp_path / f"scaled-{scale:g}.csv"
+        path.write_text("".join(f"{v!r}\n" for v in (x * scale).tolist()))
+        code, out, _ = run_cli(
+            capsys, "test", "--input", str(path), "--d", "4", "--resample-B", "200"
+        )
+        reports.append((code, _strict_json(out)))
+    (code, base), (scaled_code, scaled) = reports
+    assert scaled_code == code
+    assert base["statistic"] == pytest.approx(0.651194, rel=1e-5)
+    for key in ("statistic", "critical_value_resampled"):
+        assert scaled[key] == pytest.approx(base[key], rel=1e-5), key
+    assert scaled["sigma_hat"] == pytest.approx(base["sigma_hat"] * 1e160, rel=1e-5)
+    assert scaled["reject"] == base["reject"]
+
+
+def test_test_subcommand_where_the_trimmed_values_sum_past_the_float_range(capsys, tmp_path):
+    reports = []
+    for scale in (1.0, 1e308):
+        path = tmp_path / f"scaled-{scale:g}.csv"
+        path.write_text("".join(f"{v * scale!r}\n" for v in (1.5, 1.0, 1.0, 0.5)))
+        code, out, _ = run_cli(
+            capsys, "test", "--input", str(path), "--d", "2", "--resample-B", "50"
+        )
+        assert code == 0
+        reports.append(_strict_json(out))
+    base, scaled = reports
+    for key in ("statistic", "critical_value_resampled"):
+        assert scaled[key] == pytest.approx(base[key], rel=1e-12), key
+    assert scaled["sigma_hat"] == pytest.approx(base["sigma_hat"] * 1e308, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "20", "--reps", "10", "--d", "1"),
+        ("simulate", "--n", "40,20", "--reps", "10", "--d", "20"),
+        ("power", "--n", "20", "--reps", "10", "--d", "1"),
+        ("diagnose", "--n", "500", "--reps", "5", "--d", "1"),
+        ("diagnose", "--n", "500", "--reps", "5", "--d", "500"),
+    ],
+)
+def test_every_depth_option_follows_the_cli_rule(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must satisfy 2 <= d < n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantile", "--seed", "1"),
+        ("quantile", "--d", "3"),
+        ("diagnose", "--n", "500", "--reps", "5", "--format", "csv"),
+        ("diagnose", "--n", "500", "--reps", "5", "--level", "0.9"),
+    ],
+)
+def test_options_a_subcommand_would_ignore_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_quantile_prints_tabulated_value(capsys):
     code, out, _ = run_cli(capsys, "quantile", "--level", "0.95")
     assert code == 0

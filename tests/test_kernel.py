@@ -6,6 +6,7 @@ must reproduce the one-replicate-at-a-time loop.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,15 +60,33 @@ def check_rows(x, d):
         assert rows.threshold[i] == threshold
         assert_array_equal(rows.values[i], y)
         assert rows.mean[i] == mean
-        assert rows.centered_sum_sq[i] == css
         assert_array_equal(rows.points[i], points)
         assert (rows.sup[i], rows.argmax[i]) == (sup, k)
         path = cusum_path(y)
         assert_array_equal(path.points, points)
         assert (path.sup_abs, path.argmax_k) == (sup, k)
-        if css > 0.0:
-            assert trimmed_statistic(v, d) == sup / math.sqrt(css)
+        squares = (y - mean) ** 2
+        if math.isfinite(css) and np.all((squares == 0.0) | (squares >= np.finfo(float).tiny)):
+            assert rows.centered_sum_sq[i] == css
+            if css > 0.0:
+                assert trimmed_statistic(v, d) == sup / math.sqrt(css)
+        else:
+            check_exact_sum_of_squares(rows, i, v, d, y, mean, sup)
     return rows
+
+
+def check_exact_sum_of_squares(rows, i, v, d, y, mean, sup):
+    # Where the squares underflow to subnormals or their sum overflows, the
+    # formulas above lose the sum of squares; the kernel squares the values
+    # scaled by 2**-e, so it is compared with the exact rational sum instead.
+    m = Fraction(mean)
+    exact = sum((Fraction(value) - m) ** 2 for value in y.tolist())
+    kernel = Fraction(float(rows.scaled_sum_sq[i])) * Fraction(2) ** (2 * int(rows.exponent[i]))
+    assert abs(kernel - exact) <= Fraction(1e-13) * exact
+    if exact > 0:
+        # statistic**2 * exact sum of squares == sup**2
+        statistic = Fraction(trimmed_statistic(v, d))
+        assert abs(statistic**2 * exact - Fraction(sup) ** 2) <= Fraction(1e-13) * Fraction(sup) ** 2
 
 
 @pytest.mark.parametrize("r,n", [(7, 53), (3, 1000), (1, 2), (2, 100_003)])
@@ -91,6 +110,14 @@ def test_kernel_rows_match_one_sample_formulas(r, n):
 def test_kernel_rows_property(x, data):
     d = data.draw(st.integers(1, x.shape[1] - 1))
     check_rows(x, d)
+
+
+def test_kernel_rows_where_the_squares_underflow():
+    x = np.array([[1.6e-158, -1.6e-158, 0.0, 5e-160], [3e-170, 1e-170, -2e-170, 1e-171]])
+    for d in (1, 2, 3):
+        rows = check_rows(x, d)
+        assert np.all(rows.centered_sum_sq < np.finfo(float).tiny)
+        assert_array_equal(rows.statistics(), [trimmed_statistic(v, d) for v in x])
 
 
 def reference_critical_value(sample, d, plan):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import trimcusum.limit_dist as limit_dist
 from trimcusum import sup_bridge_cdf, sup_bridge_quantile
 
 
@@ -33,9 +34,10 @@ def test_cdf_strictly_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_series_truncation_bound_enforced():
+def test_series_truncation_bound_enforced(monkeypatch):
+    monkeypatch.setattr(limit_dist, "_MAX_TERMS", 2)
     with pytest.raises(ArithmeticError):
-        sup_bridge_cdf(0.3, max_terms=2)
+        sup_bridge_cdf(0.3)
 
 
 def test_quantile_tabulated_value():
@@ -56,11 +58,3 @@ def test_quantile_domain_errors():
         with pytest.raises(ValueError):
             sup_bridge_quantile(bad)
 
-
-def test_cdf_rejects_bad_series_settings():
-    with pytest.raises(ValueError):
-        sup_bridge_cdf(1.0, series_tolerance=0.0)
-    with pytest.raises(ValueError):
-        sup_bridge_cdf(1.0, max_terms=0)
-    with pytest.raises(ValueError):
-        sup_bridge_quantile(0.9, max_terms=0)

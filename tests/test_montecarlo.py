@@ -13,7 +13,6 @@ from trimcusum import (
     critical_value_table,
     default_trim_depth,
     gaussian,
-    generate_alternative,
     generate_null,
     null_statistics,
     one_sided_pareto,
@@ -28,6 +27,7 @@ from trimcusum import (
     truncated_sum_scale,
     two_sided_pareto,
 )
+import trimcusum.montecarlo as montecarlo
 from trimcusum.montecarlo import _sample_block, _statistics
 from trimcusum.trimmed_cusum import _trim_rows
 
@@ -81,22 +81,22 @@ def test_generate_null_matches_substream():
         assert_array_equal(generate_null(spec, r), sample_substream(MODEL, 64, 99, r))
 
 
-def test_generate_alternative_segments():
+def test_shifted_null_segments():
     spec = SimulationSpec(MODEL, n=30, replications=3, master_seed=1)
     change = ChangeSpec(breaks=((10, 1.0), (20, -1.0)))
     errors = generate_null(spec, 0)
-    x = generate_alternative(spec, change, 0)
+    x = generate_null(spec, 0) + change.shift_vector(spec.n)
     assert_array_equal(x[:10], errors[:10])
     assert_array_equal(x[10:20], errors[10:20] + 1.0)
     assert_array_equal(x[20:], errors[20:] - 1.0)
 
 
-def test_generate_alternative_mean_difference():
+def test_shifted_null_mean_difference():
     # one change of size 2 at n/2: difference of half-sample trimmed means is
     # close to 2 (trimmed means because the errors have infinite variance)
     n = 10_000
     spec = SimulationSpec(MODEL, n=n, replications=2, master_seed=0)
-    x = generate_alternative(spec, ChangeSpec(breaks=((n // 2, 2.0),)), 0)
+    x = generate_null(spec, 0) + ChangeSpec(breaks=((n // 2, 2.0),)).shift_vector(n)
     half_d = default_trim_depth(n // 2)
     first = trim(x[: n // 2], half_d).trimmed_mean
     second = trim(x[n // 2 :], half_d).trimmed_mean
@@ -111,6 +111,41 @@ def test_batch_statistics_match_scalar_path():
     scalar = np.array([trimmed_statistic(generate_null(spec, r), d) for r in range(50)])
     assert_array_equal(batch, scalar)
     assert_array_equal(null_statistics(spec), scalar)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
+    monkeypatch, workers
+):
+    # 7-row blocks: 100 replicates end in a 2-row block
+    spec = SimulationSpec(MODEL, n=50, replications=100, master_seed=31)
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMS", 7 * spec.n)
+    d = spec.trim_depth
+    nulls = [generate_null(spec, r) for r in range(spec.replications)]
+    scalar = np.array([trimmed_statistic(x, d) for x in nulls])
+    assert_array_equal(null_statistics(spec, workers), scalar)
+
+    grid, crit = (-1.5, 0.0, 0.7), 1.2
+    expected = []
+    for shift in grid:
+        rejections = 0
+        for x in nulls:
+            shifted = x.copy()
+            shifted[20:] += shift
+            rejections += trimmed_statistic(shifted, d) > crit
+        expected.append((shift, rejections / spec.replications))
+    pspec = PowerSpec(base=spec, change_at=20, critical_value=crit, shift_grid=grid)
+    assert power_curve(pspec, workers) == expected
+
+
+def test_partial_sums_past_the_float_range_give_the_scaled_statistic():
+    # the pairwise sum of the row is 0.0, but its running sum overflows at k = 2
+    row = np.zeros(16)
+    row[[0, 1]], row[[8, 9]] = 1e308, -1e308
+    x = np.vstack([row, row[::-1]])
+    stats = _statistics(x, 1, 0, 0)
+    assert np.all(np.isfinite(stats))
+    assert_array_equal(stats, _statistics(np.ldexp(x, -1000), 1, 0, 0))
 
 
 def test_overflowing_draws_raise_instead_of_nan():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from trimcusum import (
@@ -157,6 +158,74 @@ def test_trim_trunc_gap(hand_sample):
     expected = np.abs(np.array(HAND_PATH) - np.array([0.0, -0.3, -1.6, -1.4, -1.7, 0.0])).max()
     assert trim_trunc_gap(hand_sample, 2, 2.5) == pytest.approx(expected, abs=1e-12)
     assert trim_trunc_gap(hand_sample, 2, 2.5) == pytest.approx(2.4, abs=1e-9)
+    with pytest.raises(ValueError):
+        trim_trunc_gap(hand_sample, 2, -1.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_trim_trunc_gap_matches_two_path_definition(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 400))
+    x = rng.standard_cauchy(n) * 10.0 ** rng.uniform(-5, 5)
+    d = int(rng.integers(1, n))
+    own = trim(x, d)
+    assert trim_trunc_gap(x, d, own.threshold) == 0.0
+    threshold = float(np.quantile(np.abs(x), rng.uniform(0.3, 1.0)))
+    trimmed = cusum_path(own.trimmed_values).points
+    two_path = np.abs(trimmed - truncated_cusum_path(x, threshold).points).max()
+    assert trim_trunc_gap(x, d, threshold) == pytest.approx(two_path, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.integers(-1000, 1000).map(float), min_size=4, max_size=50),
+    # up to 1000 * 1e305: sums of such values pass the float range
+    exponent=st.floats(-300, 305),
+    data=st.data(),
+)
+def test_scale_invariance_over_the_float_range(values, exponent, data):
+    # integer values keep distinct moduli distinct after rounding x * scale,
+    # so the trim keeps the same observations at every scale
+    x = np.asarray(values)
+    d = data.draw(st.integers(1, x.size - 1))
+    base = trim(x, d)
+    assume(base.sigma_hat > 0.0)
+    scale = 10.0 ** exponent
+    scaled = trim(x * scale, d)
+    assert math.isfinite(scaled.sigma_hat)
+    assert scaled.sigma_hat == pytest.approx(base.sigma_hat * scale, rel=1e-12)
+    assert trimmed_statistic(x * scale, d) == pytest.approx(trimmed_statistic(x, d), rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.integers(4, 50),
+        elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+    ),
+    # values up to 1e3 < 2**10, so the top powers make the unscaled sums overflow
+    power=st.one_of(st.integers(-900, 1013), st.integers(1008, 1013)),
+    data=st.data(),
+)
+def test_power_of_two_scaling_is_exact(x, power, data):
+    # x * 2**power is exact, and every value stays normal
+    d = data.draw(st.integers(1, x.size - 1))
+    base = trim(x, d)
+    assume(base.sigma_hat > 0.0)
+    scaled = x * 2.0**power
+    assert trim(scaled, d).sigma_hat == math.ldexp(base.sigma_hat, power)
+    assert trimmed_statistic(scaled, d) == trimmed_statistic(x, d)
+
+
+def test_trimmed_sums_past_the_float_range():
+    # the kept values sum to 2.5e308
+    x = np.array([1.5, 1.0, 1.0, 0.5])
+    big = trim(x * 1e308, 2)
+    assert big.trimmed_mean == pytest.approx(0.625e308, rel=1e-15)
+    assert big.sigma_hat == pytest.approx(trim(x, 2).sigma_hat * 1e308, rel=1e-15)
+    assert trimmed_statistic(x * 1e308, 2) == pytest.approx(trimmed_statistic(x, 2), rel=1e-15)
+    assert trimmed_statistic(x, 2) == pytest.approx(0.625 / math.sqrt(0.6875), rel=1e-15)
 
 
 def test_locate_change_hand(hand_sample):
