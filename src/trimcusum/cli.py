@@ -155,7 +155,7 @@ def _cmd_test(args) -> tuple[int, str]:
     method = "asymptotic"
     critical = crit_asym
     if args.resample_B is not None:
-        crit_resampled = _critical_value(ts, _plan(args, n, args.resample_B)).value
+        crit_resampled = _critical_value(rows, _plan(args, n, args.resample_B)).value
         method = "resampled"
         critical = crit_resampled
     location = locate_change(rows.path())

@@ -130,7 +130,7 @@ class PowerSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.change_at < self.base.n:
             raise ValueError("change_at must satisfy 1 <= k < n")
-        if self.critical_value <= 0.0:
+        if not self.critical_value > 0.0:
             raise ValueError("critical_value must be positive")
         if not self.shift_grid:
             raise ValueError("shift_grid must be nonempty")

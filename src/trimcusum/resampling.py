@@ -17,7 +17,7 @@ import numpy as np
 
 from ._streams import stream_generator
 from .trimmed_cusum import (
-    CusumPath, DegenerateSampleError, TrimmedSample, _path_sup, cusum_path, trim
+    CusumPath, DegenerateSampleError, _path_sup, _Rows, _trim_one, cusum_path, trim
 )
 
 __all__ = [
@@ -116,8 +116,8 @@ def _draw(x: np.ndarray, plan: ResamplePlan, replicate_index: int) -> np.ndarray
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
     """CUSUM path of one resample; deterministic in (x, plan, replicate_index)."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("x must be a nonempty vector")
+    if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
+        raise ValueError("x must be a nonempty vector of finite values")
     if not 0 <= replicate_index < plan.replications:
         raise ValueError(
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
@@ -127,24 +127,24 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
     """Empirical level-quantile of sup |T_mn| / (sigma_hat * sqrt(m)) over B resamples."""
-    return _critical_value(trim(sample, d), plan)
+    return _critical_value(_trim_one(sample, d)[1], plan)
 
 
-def _critical_value(ts: TrimmedSample, plan: ResamplePlan) -> CriticalValueEstimate:
-    """resampled_critical_value of an already trimmed sample.  Replicate b
+def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate:
+    """resampled_critical_value of the kernel's one-row output.  Replicate b
     draws from its own stream; blocks of draws go through the path step."""
-    if ts.sigma_hat == 0.0:
+    if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
-    # scaled by 2**-e as in the kernel, so that the resampled sums cannot overflow
-    e = math.frexp(ts.threshold)[1]
-    x = np.ldexp(ts.trimmed_values, -e) - math.ldexp(ts.trimmed_mean, -e)
-    scale = math.ldexp(ts.sigma_hat, -e) * math.sqrt(plan.m)
+    # at the kernel's scale 2**-e, so that the resampled sums cannot overflow
+    e = trimmed.exponent[0]
+    x = np.ldexp(trimmed.values[0], -e) - np.ldexp(trimmed.mean[0], -e)
+    scale = math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(plan.m)
     b_total = plan.replications
     rows = max(1, _BLOCK_ELEMS // plan.m)
     stats = np.empty(b_total)
     for start in range(0, b_total, rows):
         stop = min(start + rows, b_total)
         block = np.array([_draw(x, plan, b) for b in range(start, stop)])
-        stats[start:stop] = _path_sup(block)[1] / scale
+        stats[start:stop] = _path_sup(block, np.zeros(stop - start, dtype=int))[1] / scale
     value, standard_error = _quantile_and_error(stats, plan.level)
     return CriticalValueEstimate(value, plan.level, b_total, standard_error)

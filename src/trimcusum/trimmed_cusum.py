@@ -6,7 +6,8 @@ values drop when all moduli are distinct).  The test statistic is the sup of
 the tied-down partial-sum path of the trimmed values divided by the trimmed
 standard-deviation estimate times sqrt(n).  One row-batched kernel,
 _trim_rows, computes all of it; the one-sample functions here, the Monte Carlo
-jobs and the CLI call it, and the resampler calls its path step, _path_sup.
+jobs and the CLI call it.  Its path step, _path_sup, which every tied-down path
+and the resampler use, owns the float-range fallback (summing again at 2**-e).
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class TrimmedSample:
     sigma_hat: float
 
     @property
-    def n(self) -> int:
-        return self.source.size
-
-    @property
     def trimmed_values(self) -> np.ndarray:
         """X_j * 1{|X_j| <= threshold}, length n."""
         return np.where(self.kept, self.source, 0.0)
@@ -124,21 +121,32 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return threshold, absx <= threshold[:, None]
 
 
-def _path_sup(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tied-down partial sums S_k - (k/n) S_n, k = 0..n, of each row of an
-    (R, n) block, with the row-wise max modulus and its first argmax.
+def _path_sup(y: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The path step: tied-down partial sums S_k - (k/n) S_n, k = 0..n, of each
+    row of an (R, n) block, with the row-wise max modulus times 2**-exponent
+    and its first argmax.
 
     points[:, 0] and points[:, n] are exactly zero: S_n is computed once and
     k/n is exactly 1 at k = n, so the subtraction cancels bit-for-bit.  The
-    first argmax is therefore interior, or 0 on a flat path.
+    first argmax is therefore interior, or 0 on a flat path.  A row whose sup
+    is not finite is summed again on y * 2**-exponent and its points scaled
+    back: where 2**exponent exceeds its max modulus, its scaled sup is finite
+    and its points are inf only past the float range.
     """
     r, n = y.shape
     points = np.zeros((r, n + 1))
-    np.cumsum(y, axis=1, out=points[:, 1:])
-    points -= points[:, -1:] * (np.arange(n + 1) / n)
-    abs_points = np.abs(points)
-    argmax = abs_points.argmax(axis=1)
-    return points, abs_points[np.arange(r), argmax], argmax
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(y, axis=1, out=points[:, 1:])
+        points -= points[:, -1:] * (np.arange(n + 1) / n)
+        abs_points = np.abs(points)
+        argmax = abs_points.argmax(axis=1)
+        sup = np.ldexp(abs_points[np.arange(r), argmax], -exponent)
+        big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
+        if big.any():
+            scaled = np.ldexp(y[big], -exponent[big, None])
+            scaled_points, sup[big], argmax[big] = _path_sup(scaled, np.zeros_like(exponent[big]))
+            points[big] = np.ldexp(scaled_points, exponent[big, None])
+    return points, sup, argmax
 
 
 class _Rows(NamedTuple):
@@ -187,38 +195,28 @@ class _Rows(NamedTuple):
         return CusumPath(self.points[i], float(self.sup[i]), int(self.argmax[i]))
 
 
-def _scaled(values: np.ndarray, exponent: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The given rows of the trimmed values times 2**-exponent: at most 1 in modulus."""
-    return np.ldexp(values[rows], -exponent[rows, None])
-
-
 def _trim_rows(x: np.ndarray, d: int) -> _Rows:
     """The trimmed-CUSUM kernel: trim each row of an (R, n) block at its d-th
     largest modulus, centre at the trimmed mean, and build the tied-down path.
 
-    The centred values are scaled by 2**-e (e the threshold's binary exponent)
-    before squaring, and a row whose unscaled sum or path overflows is summed
-    again scaled.  The scaling is exact: where the unscaled sums and squares
-    neither over- nor underflow, the results are bit-identical.
+    The values are scaled by 2**-e (e the threshold's binary exponent) before
+    squaring, a row whose unscaled sum overflows is averaged at that scale, and
+    the path step owns the path's fallback.  The scaling is exact: where the
+    unscaled sums and squares neither over- nor underflow, nothing changes.
     """
     n = x.shape[1]
     threshold, kept = _trim_rule(x, d)
     values = np.where(kept, x, 0.0)
     exponent = np.frexp(threshold)[1]
     with np.errstate(over="ignore", invalid="ignore"):
+        centered = np.ldexp(values, -exponent[:, None])
         mean = values.sum(axis=1) / n
         big = ~np.isfinite(mean)
-        mean[big] = np.ldexp(_scaled(values, exponent, big).sum(axis=1) / n, exponent[big])
-        centered = np.ldexp(values, -exponent[:, None])
+        mean[big] = np.ldexp(centered[big].sum(axis=1) / n, exponent[big])
         centered -= np.ldexp(mean, -exponent)[:, None]
         scaled_sum_sq = np.square(centered, out=centered).sum(axis=1)
         del centered  # freed before the path step
-        points, sup, argmax = _path_sup(values)
-        scaled_sup = np.ldexp(sup, -exponent)
-        big = ~np.isfinite(sup)
-        if big.any():
-            scaled_points, scaled_sup[big], argmax[big] = _path_sup(_scaled(values, exponent, big))
-            points[big] = np.ldexp(scaled_points, exponent[big, None])
+    points, scaled_sup, argmax = _path_sup(values, exponent)
     return _Rows(threshold, kept, values, mean, exponent, scaled_sum_sq, points, scaled_sup, argmax)
 
 
@@ -241,8 +239,8 @@ def _gap_sup(terms: np.ndarray, center) -> np.ndarray:
 
 def _truncation_sample(sample, threshold: float) -> np.ndarray:
     """as_sample for a fixed truncation threshold, which must be nonnegative."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     return as_sample(sample)
 
 
@@ -273,8 +271,8 @@ def cusum_path(terms) -> CusumPath:
         raise ValueError("terms must be a nonempty one-dimensional vector")
     if not np.all(np.isfinite(y)):
         raise ValueError("terms must be finite")
-    points, sup, argmax = _path_sup(y[None, :])
-    return CusumPath(points[0], float(sup[0]), int(argmax[0]))
+    points, _, argmax = _path_sup(y[None, :], np.frexp(np.abs(y).max(keepdims=True))[1])
+    return CusumPath(points[0], float(np.abs(points[0, argmax[0]])), int(argmax[0]))
 
 
 def test_statistic(sample, d: int) -> float:
@@ -296,7 +294,7 @@ def truncated_cusum_path(sample, threshold: float) -> CusumPath:
 def trim_trunc_gap(sample, d: int, threshold: float) -> float:
     """Componentwise sup distance between the trimmed and truncated CUSUM paths:
     the paths are linear in their terms, so the sup of the path of the gap terms."""
-    return float(_path_sup(_gap_row(sample, d, threshold))[1][0])
+    return cusum_path(_gap_row(sample, d, threshold)[0]).sup_abs
 
 
 def locate_change(path: CusumPath) -> ChangeLocation:
@@ -318,4 +316,6 @@ def centered_gap_process(sample, d: int, threshold: float, center: float) -> flo
     - center]| where eta is the realized trim threshold and `center` is the
     mean shift evaluated at eta (see heavy_tail_models.mean_shift).
     """
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     return float(_gap_sup(_gap_row(sample, d, threshold), center)[0])

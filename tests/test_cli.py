@@ -245,6 +245,15 @@ def test_power_subcommand(capsys):
     assert all(0.0 <= r <= 1.0 for r in rates)
 
 
+def test_power_rejects_a_nan_critical_value(capsys):
+    code, out, err = run_cli(
+        capsys, "power", "--n", "20", "--reps", "10", "--critical-value", "nan"
+    )
+    assert code == 2
+    assert out == ""
+    assert "critical_value must be positive" in err
+
+
 def test_resample_subcommand(capsys, hand_csv):
     code, out, _ = run_cli(
         capsys, "resample", "--input", hand_csv, "--d", "2", "--reps", "40", "--mode", "bootstrap"

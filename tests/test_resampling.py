@@ -78,6 +78,14 @@ def test_resampled_path_errors(hand_sample):
         resampled_path(x, ResamplePlan(m=2, replications=2), 2)
 
 
+def test_resampled_path_rejects_non_finite_x():
+    # a NaN that only some replicates would draw is rejected by every one
+    plan = ResamplePlan(m=1, mode=WITH_REPLACEMENT, replications=20, seed=0)
+    for b in range(plan.replications):
+        with pytest.raises(ValueError, match="finite"):
+            resampled_path([1.0, math.nan, 2.0, 3.0], plan, b)
+
+
 def test_conditional_moments_bootstrap():
     x = trimmed_centered(sample_iid(two_sided_pareto(1.5), 200, seed=1), 4)
     sigma_sq = (x ** 2).sum() / x.size

@@ -8,15 +8,22 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from trimcusum import (
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
     DegenerateSampleError,
+    PowerSpec,
+    ResamplePlan,
+    SimulationSpec,
     centered_gap_process,
     cusum_path,
     default_trim_depth,
     locate_change,
+    resampled_path,
     test_statistic as trimmed_statistic,
     trim,
     trim_trunc_gap,
     truncated_cusum_path,
+    two_sided_pareto,
 )
 
 HAND_PATH = [0.0, 2.1, 0.2, -0.2, -1.1, 0.0]
@@ -216,6 +223,24 @@ def test_power_of_two_scaling_is_exact(x, power, data):
     scaled = x * 2.0**power
     assert trim(scaled, d).sigma_hat == math.ldexp(base.sigma_hat, power)
     assert trimmed_statistic(scaled, d) == trimmed_statistic(x, d)
+    # so do the one-path helpers, whose sums pass the float range at the top
+    # powers; np.ldexp is inf where the scaled value is past the range
+    threshold = data.draw(st.sampled_from(np.abs(x).tolist()))
+    big_threshold = math.ldexp(threshold, power)
+    mode = data.draw(st.sampled_from([WITH_REPLACEMENT, WITHOUT_REPLACEMENT]))
+    plan = ResamplePlan(m=data.draw(st.integers(1, x.size)), mode=mode, replications=3)
+    b = data.draw(st.integers(0, 2))
+    pairs = [
+        (cusum_path(scaled), cusum_path(x)),
+        (truncated_cusum_path(scaled, big_threshold), truncated_cusum_path(x, threshold)),
+        (resampled_path(scaled, plan, b), resampled_path(x, plan, b)),
+    ]
+    with np.errstate(over="ignore"):
+        for big, unit in pairs:
+            assert_array_equal(big.points, np.ldexp(unit.points, power))
+            assert big.sup_abs == np.ldexp(unit.sup_abs, power)
+        gap = trim_trunc_gap(x, d, threshold)
+        assert trim_trunc_gap(scaled, d, big_threshold) == np.ldexp(gap, power)
 
 
 def test_trimmed_sums_past_the_float_range():
@@ -226,6 +251,45 @@ def test_trimmed_sums_past_the_float_range():
     assert big.sigma_hat == pytest.approx(trim(x, 2).sigma_hat * 1e308, rel=1e-15)
     assert trimmed_statistic(x * 1e308, 2) == pytest.approx(trimmed_statistic(x, 2), rel=1e-15)
     assert trimmed_statistic(x, 2) == pytest.approx(0.625 / math.sqrt(0.6875), rel=1e-15)
+
+
+def test_one_path_helpers_past_the_float_range():
+    # the partial sums pass the float range; the sups do not
+    x = np.array([1.5, 1.0, 1.0, 0.5])
+    big = np.ldexp(x, 1023)
+    assert cusum_path(big).sup_abs == 2.0**1022
+    assert_array_equal(cusum_path(big).points, np.ldexp(cusum_path(x).points, 1023))
+    unit = truncated_cusum_path(x, 1.2).sup_abs
+    assert truncated_cusum_path(big, math.ldexp(1.2, 1023)).sup_abs == math.ldexp(unit, 1023)
+    for mode in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        plan = ResamplePlan(m=4, mode=mode, replications=20, seed=0)
+        for b in range(plan.replications):
+            unit = resampled_path(x, plan, b).sup_abs
+            assert resampled_path(big, plan, b).sup_abs == math.ldexp(unit, 1023)
+    assert trim_trunc_gap([1e308, 1e308, 1.7e308, 1.0], 2, 2.0) == 1e308
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        pytest.param(lambda x: truncated_cusum_path(x, math.nan), "threshold",
+                     id="truncated_cusum_path-threshold"),
+        pytest.param(lambda x: trim_trunc_gap(x, 2, math.nan), "threshold",
+                     id="trim_trunc_gap-threshold"),
+        pytest.param(lambda x: centered_gap_process(x, 2, math.nan, 0.0), "threshold",
+                     id="centered_gap_process-threshold"),
+        pytest.param(lambda x: centered_gap_process(x, 2, 2.5, math.nan), "center",
+                     id="centered_gap_process-center"),
+        pytest.param(
+            lambda x: PowerSpec(SimulationSpec(two_sided_pareto(1.5), x.size, 10), 2, math.nan),
+            "critical_value", id="PowerSpec-critical_value",
+        ),
+    ],
+)
+def test_nan_parameters_are_rejected(hand_sample, call, name):
+    # each check names the valid range, so NaN fails it
+    with pytest.raises(ValueError, match=name):
+        call(hand_sample)
 
 
 def test_locate_change_hand(hand_sample):
