@@ -5,8 +5,8 @@ a unit Gaussian control for the finite-variance regime:
 
 * ``two_sided_pareto(alpha, p)``:  F(t) = q*(1-t)**-alpha for t <= 0 and
   F(t) = 1 - p*(1+t)**-alpha for t > 0, with tail weights p + q = 1.
-* ``one_sided_pareto(alpha)``: support (0, inf), F(t) = 1 - (1+t)**-alpha,
-  density alpha*(1+t)**-(alpha+1).
+* ``one_sided_pareto(alpha)``: the two-sided family at p = 1, q = 0, with
+  support (0, inf), F(t) = 1 - (1+t)**-alpha, density alpha*(1+t)**-(alpha+1).
 * ``gaussian()``: standard normal.
 
 For both Pareto families the two-sided survival function of |X| is
@@ -123,14 +123,9 @@ def cdf(model: TailModel, t):
         return _ret(ndtr(arr), scalar)
     a = model.alpha
     out = np.empty_like(arr)
-    if model.family == TWO_SIDED_PARETO:
-        neg = arr <= 0.0
-        out[neg] = model.q * (1.0 - arr[neg]) ** (-a)
-        out[~neg] = 1.0 - model.p * (1.0 + arr[~neg]) ** (-a)
-    else:
-        pos = arr > 0.0
-        out[pos] = 1.0 - (1.0 + arr[pos]) ** (-a)
-        out[~pos] = 0.0
+    neg = arr <= 0.0
+    out[neg] = model.q * (1.0 - arr[neg]) ** (-a)
+    out[~neg] = 1.0 - model.p * (1.0 + arr[~neg]) ** (-a)
     return _ret(out, scalar)
 
 
@@ -154,7 +149,7 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
 def quantile(model: TailModel, u):
     """Inverse of `cdf`; u must lie strictly inside (0, 1)."""
     arr, scalar = _prep(u)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("probability u must lie in the open interval (0, 1)")
     return _ret(_quantile_unchecked(model, arr), scalar)
 
@@ -174,7 +169,7 @@ def sample_iid(model: TailModel, n: int, seed: int) -> np.ndarray:
 def tail_survival(model: TailModel, t):
     """P{|X| > t} for t >= 0; equals (1+t)**-alpha for the Pareto families."""
     arr, scalar = _prep(t)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("t must be nonnegative")
     if model.family == GAUSSIAN:
         out = 2.0 * ndtr(-arr)
@@ -186,7 +181,7 @@ def tail_survival(model: TailModel, t):
 def tail_survival_inv(model: TailModel, u):
     """Upper quantile of |X|: the t >= 0 with P{|X| > t} = u, for u in (0, 1]."""
     arr, scalar = _prep(u)
-    if np.any((arr <= 0.0) | (arr > 1.0)):
+    if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise ValueError("probability u must lie in (0, 1]")
     if model.family == GAUSSIAN:
         out = -ndtri(arr / 2.0)
@@ -207,14 +202,9 @@ def density(model: TailModel, t):
         return _ret(out, scalar)
     a = model.alpha
     out = np.empty_like(arr)
-    if model.family == TWO_SIDED_PARETO:
-        neg = arr <= 0.0
-        out[neg] = model.q * a * (1.0 - arr[neg]) ** (-a - 1.0)
-        out[~neg] = model.p * a * (1.0 + arr[~neg]) ** (-a - 1.0)
-    else:
-        pos = arr > 0.0
-        out[pos] = a * (1.0 + arr[pos]) ** (-a - 1.0)
-        out[~pos] = 0.0
+    neg = arr <= 0.0
+    out[neg] = model.q * a * (1.0 - arr[neg]) ** (-a - 1.0)
+    out[~neg] = model.p * a * (1.0 + arr[~neg]) ** (-a - 1.0)
     return _ret(out, scalar)
 
 
@@ -228,10 +218,8 @@ def _truncated_first_moment(model: TailModel, t: np.ndarray) -> np.ndarray:
         g = np.log1p(t) + 1.0 / (1.0 + t) - 1.0
     else:
         g = (a / (1.0 - a)) * ((1.0 + t) ** (1.0 - a) - 1.0) + ((1.0 + t) ** (-a) - 1.0)
-    if model.family == TWO_SIDED_PARETO:
-        # The left tail mirrors the right with weight q, so it contributes -q*g.
-        return (model.p - model.q) * g
-    return g
+    # The left tail mirrors the right with weight q, so it contributes -q*g.
+    return (model.p - model.q) * g
 
 
 def mean_shift(model: TailModel, t, d: int, n: int):
@@ -243,7 +231,7 @@ def mean_shift(model: TailModel, t, d: int, n: int):
     """
     _check_depth(d, n)
     arr, scalar = _prep(t)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("t must be nonnegative")
     ref = tail_survival_inv(model, d / n)
     out = _truncated_first_moment(model, arr) - _truncated_first_moment(

@@ -233,8 +233,9 @@ def _gap_terms(x: np.ndarray, d: int, threshold: float) -> tuple[np.ndarray, np.
 
 def _gap_sup(terms: np.ndarray, center) -> np.ndarray:
     """max_k |sum_{j<=k} (terms_j - center)| of each row; center is a scalar
-    or one value per row."""
-    return np.abs(np.cumsum(terms - np.reshape(center, (-1, 1)), axis=1)).max(axis=1)
+    or one value per row.  A sum past the float range gives inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.cumsum(terms - np.reshape(center, (-1, 1)), axis=1)).max(axis=1)
 
 
 def _truncation_sample(sample, threshold: float) -> np.ndarray:

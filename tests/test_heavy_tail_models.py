@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from trimcusum import (
     TailModel,
@@ -293,3 +293,20 @@ def test_scalar_array_consistency():
     assert_allclose(cdf(m, t), [cdf(m, float(v)) for v in t], rtol=0, atol=0)
     u = np.array([0.1, 0.5, 0.93])
     assert_allclose(quantile(m, u), [quantile(m, float(v)) for v in u], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.99])
+def test_one_sided_is_two_sided_at_full_right_weight(alpha):
+    one, two = one_sided_pareto(alpha), two_sided_pareto(alpha, 1.0)
+    t = np.concatenate([
+        np.random.default_rng(0).standard_cauchy(20_000),
+        [np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 1e-300],
+    ])
+    nonneg = np.abs(t)
+    u = np.random.default_rng(1).uniform(size=20_000)
+    u = u[u > 0.0]
+    assert_array_equal(cdf(one, t), cdf(two, t))
+    assert_array_equal(density(one, t), density(two, t))
+    assert_array_equal(quantile(one, u), quantile(two, u))
+    assert_array_equal(tail_survival(one, nonneg), tail_survival(two, nonneg))
+    assert_array_equal(mean_shift(one, nonneg, 4, 100), mean_shift(two, nonneg, 4, 100))

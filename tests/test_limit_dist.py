@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
 
-import trimcusum.limit_dist as limit_dist
+import trimcusum
 from trimcusum import sup_bridge_cdf, sup_bridge_quantile
 
 
@@ -34,12 +39,6 @@ def test_cdf_strictly_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_series_truncation_bound_enforced(monkeypatch):
-    monkeypatch.setattr(limit_dist, "_MAX_TERMS", 2)
-    with pytest.raises(ArithmeticError):
-        sup_bridge_cdf(0.3)
-
-
 def test_quantile_tabulated_value():
     assert sup_bridge_quantile(0.95) == pytest.approx(1.3581, abs=5e-4)
 
@@ -58,3 +57,36 @@ def test_quantile_domain_errors():
         with pytest.raises(ValueError):
             sup_bridge_quantile(bad)
 
+
+@pytest.mark.parametrize(
+    "level,reference",
+    [
+        (1e-16, 0.17674325659716231),
+        (1e-6, 0.27753935399861560),
+        (0.5, 0.82757355518990769),
+        (0.95, 1.35809863932255060),
+        (0.999, 1.94947460350437527),
+    ],
+)
+def test_quantile_against_40_digit_reference(level, reference):
+    # 40-digit values at the decimal levels, from the theta series of the CDF
+    assert sup_bridge_quantile(level) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
+def test_cdf_left_tail_against_40_digit_reference():
+    assert sup_bridge_cdf(0.2) == pytest.approx(5.0504073386700709e-13, rel=1e-13, abs=0.0)
+
+
+def test_cli_import_loads_neither_optimize_nor_stats():
+    # a fresh interpreter, so modules imported by other tests do not count
+    package_root = str(Path(trimcusum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, trimcusum.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

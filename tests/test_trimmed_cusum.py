@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,14 @@ from trimcusum import (
     centered_gap_process,
     cusum_path,
     default_trim_depth,
+    gaussian,
     locate_change,
+    mean_shift,
+    quantile,
     resampled_path,
+    sup_bridge_cdf,
+    tail_survival,
+    tail_survival_inv,
     test_statistic as trimmed_statistic,
     trim,
     trim_trunc_gap,
@@ -269,6 +276,12 @@ def test_one_path_helpers_past_the_float_range():
     assert trim_trunc_gap([1e308, 1e308, 1.7e308, 1.0], 2, 2.0) == 1e308
 
 
+def test_gap_sup_past_the_float_range_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert centered_gap_process([1e308, 1e308, 1.7e308, 1.0], 2, 2.0, 0.0) == math.inf
+
+
 @pytest.mark.parametrize(
     "call,name",
     [
@@ -284,6 +297,17 @@ def test_one_path_helpers_past_the_float_range():
             lambda x: PowerSpec(SimulationSpec(two_sided_pareto(1.5), x.size, 10), 2, math.nan),
             "critical_value", id="PowerSpec-critical_value",
         ),
+        pytest.param(lambda x: quantile(two_sided_pareto(1.5), math.nan), "probability",
+                     id="quantile-u"),
+        pytest.param(lambda x: quantile(gaussian(), np.array([0.5, math.nan])), "probability",
+                     id="quantile-u-array"),
+        pytest.param(lambda x: tail_survival(two_sided_pareto(1.5), math.nan), "t must",
+                     id="tail_survival-t"),
+        pytest.param(lambda x: tail_survival_inv(two_sided_pareto(1.5), math.nan), "probability",
+                     id="tail_survival_inv-u"),
+        pytest.param(lambda x: mean_shift(two_sided_pareto(1.5), math.nan, 4, 100), "t must",
+                     id="mean_shift-t"),
+        pytest.param(lambda x: sup_bridge_cdf(math.nan), "x must", id="sup_bridge_cdf-x"),
     ],
 )
 def test_nan_parameters_are_rejected(hand_sample, call, name):
