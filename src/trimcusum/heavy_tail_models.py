@@ -134,15 +134,20 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
         return ndtri(u)
     a = model.alpha
     out = np.empty_like(u)
-    if model.family == TWO_SIDED_PARETO:
-        left = u <= model.q
-        if np.any(left):
-            out[left] = 1.0 - (u[left] / model.q) ** (-1.0 / a)
-        right = ~left
-        if np.any(right):
-            out[right] = ((1.0 - u[right]) / model.p) ** (-1.0 / a) - 1.0
-    else:
-        out = (1.0 - u) ** (-1.0 / a) - 1.0
+    # v**(-1/alpha) passes the float range for v < exp(-709.78 * alpha), which
+    # samplers meet at small alpha (v < 8.3e-4 at alpha = 0.01).  The draw is
+    # then +-inf; the trim removes it unless d or more draws of one sample
+    # overflow, and those samples have no statistic.
+    with np.errstate(over="ignore"):
+        if model.family == TWO_SIDED_PARETO:
+            left = u <= model.q
+            if np.any(left):
+                out[left] = 1.0 - (u[left] / model.q) ** (-1.0 / a)
+            right = ~left
+            if np.any(right):
+                out[right] = ((1.0 - u[right]) / model.p) ** (-1.0 / a) - 1.0
+        else:
+            out = (1.0 - u) ** (-1.0 / a) - 1.0
     return out
 
 

@@ -28,7 +28,7 @@ from .heavy_tail_models import (
     tail_survival_inv,
     truncated_sum_scale,
 )
-from ._streams import stream_uniforms
+from ._streams import SEED_LIMIT, stream_uniforms
 from .limit_dist import sup_bridge_quantile
 from .resampling import empirical_quantile
 from .trimmed_cusum import (
@@ -81,8 +81,10 @@ class SimulationSpec:
             raise ValueError("replication count must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ValueError(
+                f"master_seed must be an integer in [0, 2**128), got {self.master_seed}"
+            )
         _check_depth(self.trim_depth, self.n)
 
     @property

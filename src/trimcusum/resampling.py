@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import stream_generator
+from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
     CusumPath, DegenerateSampleError, _path_sup, _Rows, _trim_one, cusum_path, trim
 )
@@ -59,8 +59,8 @@ class ResamplePlan:
             raise ValueError("replication count B must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

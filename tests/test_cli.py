@@ -194,6 +194,26 @@ def test_options_a_subcommand_would_ignore_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "power", "diagnose"])
+def test_seeds_past_128_bits_are_usage_errors(capsys, subcommand):
+    # 2**128 would key the same Philox family as seed 0
+    argv = (subcommand, "--n", "500", "--reps", "5", "--seed", str(2**128))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"must be an integer in [0, 2**128), got {2**128}" in err
+
+
+def test_test_subcommand_rejects_a_resample_seed_past_128_bits(capsys, hand_csv):
+    code, out, err = run_cli(
+        capsys, "test", "--input", hand_csv, "--d", "2", "--resample-B", "10",
+        "--seed", str(2**128),
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed must be an integer in [0, 2**128)" in err
+
+
 def test_quantile_prints_tabulated_value(capsys):
     code, out, _ = run_cli(capsys, "quantile", "--level", "0.95")
     assert code == 0

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +159,21 @@ def test_overflowing_draws_raise_instead_of_nan():
             null_statistics(spec)
         with pytest.raises(DegenerateSampleError):
             rejection_rate(spec, 1.3)
+
+
+def test_fewer_than_d_overflowed_draws_give_statistics_without_a_warning():
+    # at alpha = 0.01 a draw overflows with probability 8.3e-4, so about one
+    # row in six holds an inf draw; the trim removes it, and the inverse CDF's
+    # expected overflow must not escape as a RuntimeWarning
+    spec = SimulationSpec(two_sided_pareto(0.01), 200, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isinf(_sample_block(spec.model, spec.n, 0, 0, 2000)).any(axis=1).sum() > 100
+        stats = null_statistics(spec)
+        assert np.all(np.isfinite(stats))
+        # at d = 2 some row holds two overflowed draws, so it has no statistic
+        with pytest.raises(DegenerateSampleError, match=r"master seed 0, n=200, d=2\)"):
+            null_statistics(replace(spec, d=2))
 
 
 def test_zero_variance_replicate_is_named():
