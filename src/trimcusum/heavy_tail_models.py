@@ -133,22 +133,35 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
     if model.family == GAUSSIAN:
         return ndtri(u)
     a = model.alpha
-    out = np.empty_like(u)
     # v**(-1/alpha) passes the float range for v < exp(-709.78 * alpha), which
     # samplers meet at small alpha (v < 8.3e-4 at alpha = 0.01).  The draw is
     # then +-inf; the trim removes it unless d or more draws of one sample
     # overflow, and those samples have no statistic.
     with np.errstate(over="ignore"):
-        if model.family == TWO_SIDED_PARETO:
-            left = u <= model.q
-            if np.any(left):
-                out[left] = 1.0 - (u[left] / model.q) ** (-1.0 / a)
-            right = ~left
-            if np.any(right):
-                out[right] = ((1.0 - u[right]) / model.p) ** (-1.0 / a) - 1.0
-        else:
-            out = (1.0 - u) ** (-1.0 / a) - 1.0
-    return out
+        if model.family != TWO_SIDED_PARETO:
+            return (1.0 - u) ** (-1.0 / a) - 1.0
+        # Both branches in one pass, with no boolean gather, scatter or
+        # select, which mispredict on random draws.  r is 1.0 on the right
+        # (u > q) and 0.0 on the left, so multiplying by r or 1 - r selects
+        # exactly: v = (u - r) / ((1-r)*q - r*p) is u/q on the left and
+        # -(1-u)/-p = (1-u)/p on the right.  A zero tail weight is never a
+        # divisor, since no u in (0, 1) takes its branch.  With sign = 2r - 1,
+        # s*sign - sign is 1 - s on the left and s - 1 on the right, bit for
+        # bit, and +0.0 at u == q.  The block is made 1-d because 0-d operands
+        # get numpy's scalar pow, which rounds differently from the array loop.
+        shape = u.shape
+        u = u.reshape(-1)
+        r = (u > model.q).astype(float)
+        v = u - r
+        den = (1.0 - r) * model.q
+        den -= r * model.p
+        v /= den
+        v **= -1.0 / a
+        sign = r * 2.0
+        sign -= 1.0
+        v *= sign
+        v -= sign
+    return v.reshape(shape)
 
 
 def quantile(model: TailModel, u):

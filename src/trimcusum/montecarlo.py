@@ -56,7 +56,12 @@ __all__ = [
 # Shift levels used for power curves: -3.0, -2.9, ..., 2.9, 3.0.
 DEFAULT_SHIFT_GRID: tuple[float, ...] = tuple(i / 10 for i in range(-30, 31))
 
-_BATCH_ELEMS = 1 << 22  # ~32 MB of doubles per vectorized block
+# Elements per sample block: 2**13 doubles are 64 KiB, so the block and each of
+# the kernel's temporaries fit in L2 cache and stay under glibc's 128 KiB mmap
+# threshold (see _run_jobs).
+_BATCH_ELEMS = 1 << 13
+# Elements per block for rows longer than _BATCH_ELEMS (see _run_jobs).
+_LONG_ROW_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,14 @@ def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
     aggregates.
     """
     rows = _trim_rows(x, d)
-    bad = rows.undefined()
-    if bad.size:
-        i = int(bad[0])
+    try:
+        return rows.statistics()
+    except DegenerateSampleError:
+        i = int(rows.undefined()[0])
         raise DegenerateSampleError(
             f"replicate {start + i} (master seed {seed}, n={x.shape[1]}, d={d}) has "
             f"trimmed sum of squares {rows.centered_sum_sq[i]!r}, so its statistic is undefined"
-        )
-    return rows.statistics()
+        ) from None
 
 
 def _job(args):
@@ -203,20 +208,32 @@ def _run_jobs(
 
     Replicates 0..total-1 are split into blocks of a row count fixed by n
     alone, so results never depend on the worker count.
+
+    A block holds _BATCH_ELEMS values, 64 KiB of doubles.  It and every
+    temporary the kernel makes from it then stay in L2 cache, and each is
+    below glibc's 128 KiB mmap threshold, so a freed temporary is reused from
+    the heap by the next block instead of being mapped and faulted in again.
+    A row longer than that cannot stay in cache, and a block of one such row
+    would fault in every temporary once per replicate, so long rows keep
+    blocks of _LONG_ROW_ELEMS values (32 MB).  The pool takes the jobs in
+    chunks, about four per worker, so that small jobs do not each pay an
+    inter-process round trip.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if total < 1:
         raise ValueError("reps must be at least 1")
-    rows = max(1, min(4096, _BATCH_ELEMS // max(n, 1)))
+    _check_depth(d, n)
+    rows = _BATCH_ELEMS // n if n <= _BATCH_ELEMS else max(1, _LONG_ROW_ELEMS // n)
     payloads = [
         (fn, model, n, d, seed, start, min(rows, total - start), *extra)
         for start in range(0, total, rows)
     ]
     if workers == 1 or len(payloads) <= 1:
         return [_job(p) for p in payloads]
+    chunksize = -(-len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_job, payloads))
+        return list(pool.map(_job, payloads, chunksize=chunksize))
 
 
 def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
@@ -250,9 +267,9 @@ def critical_value_table(
 
 def _power_job(errors: np.ndarray, d: int, seed: int, start: int, change_at, grid, crit):
     counts = np.zeros(len(grid), dtype=np.int64)
+    x = errors.copy()
     for gi, shift in enumerate(grid):
-        x = errors.copy()
-        x[:, change_at:] += shift
+        np.add(errors[:, change_at:], shift, out=x[:, change_at:])
         counts[gi] = np.count_nonzero(_statistics(x, d, seed, start) > crit)
     return counts
 

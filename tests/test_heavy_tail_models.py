@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from trimcusum import (
     truncated_sum_scale,
     two_sided_pareto,
 )
+from trimcusum.heavy_tail_models import _quantile_unchecked
 
 ALL_MODELS = [
     two_sided_pareto(1.5),
@@ -93,6 +95,57 @@ def test_cdf_quantile_round_trip_grid():
 def test_round_trip_property(alpha, p, u):
     m = two_sided_pareto(alpha, p=p)
     assert cdf(m, quantile(m, u)) == pytest.approx(u, rel=1e-11, abs=1e-11)
+
+
+def two_branch_quantile(model, u):
+    """The two-sided inverse CDF as its two branches read, one gather each."""
+    u = np.atleast_1d(u)
+    out = np.empty_like(u)
+    left = u <= model.q
+    with np.errstate(over="ignore"):
+        out[left] = 1.0 - (u[left] / model.q) ** (-1.0 / model.alpha)
+        out[~left] = ((1.0 - u[~left]) / model.p) ** (-1.0 / model.alpha) - 1.0
+    return out
+
+
+def probabilities_around(q):
+    """The branch point, its float neighbours and the ends of the sampler's range."""
+    near = [q, np.nextafter(q, 0.0), np.nextafter(q, 1.0), 2.0**-53, 1.0 - 2.0**-53]
+    return [u for u in near if 0.0 < u < 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.sampled_from([0.01, 1.0, 1.99]) | st.floats(0.01, 1.99),
+    p=st.sampled_from([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]) | st.floats(0.0, 1.0),
+    drawn=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=40),
+    cols=st.integers(1, 5),
+)
+def test_two_sided_quantile_is_its_two_branches_bit_for_bit(alpha, p, drawn, cols):
+    model = two_sided_pareto(alpha, p)
+    u = np.array(probabilities_around(model.q) + drawn)
+    expected = two_branch_quantile(model, u)
+    rows = u.size // cols
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = _quantile_unchecked(model, u[: rows * cols].reshape(rows, cols))
+        assert block.shape == (rows, cols)
+        assert_array_equal(block.ravel().view(np.int64), expected[: rows * cols].view(np.int64))
+        for ui, want in zip(u, expected):
+            got = _quantile_unchecked(model, np.asarray(ui))
+            assert got.shape == ()
+            assert got.view(np.int64) == want.view(np.int64)
+            assert quantile(model, float(ui)) == want
+
+
+def test_two_sided_quantile_overflows_to_signed_inf_and_is_zero_at_the_branch_point():
+    model = two_sided_pareto(0.01)
+    u = np.array([2.0**-53, 0.5, 1.0 - 2.0**-53])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _quantile_unchecked(model, u)
+    assert_array_equal(out, [-np.inf, 0.0, np.inf])
+    assert out[1].view(np.int64) == 0  # +0.0, as 1.0 - 1.0 gives
 
 
 def test_sample_iid_deterministic_and_support():

@@ -140,6 +140,48 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
     assert power_curve(pspec, workers) == expected
 
 
+LONG_N = 9000  # above 2**13, so its blocks hold _LONG_ROW_ELEMS // n rows
+
+
+def block_results(workers):
+    """Every Monte Carlo entry point on short rows (12 blocks of 2**13 values)
+    and on rows longer than 2**13."""
+    spec = SimulationSpec(MODEL, n=60, replications=1500, master_seed=8)
+    pspec = PowerSpec(base=spec, change_at=30, critical_value=1.2, shift_grid=(-1.0, 0.0, 0.5))
+    long = SimulationSpec(one_sided_pareto(1.5), n=LONG_N, replications=7, master_seed=3)
+    d = long.trim_depth
+    return (
+        null_statistics(spec, workers),
+        power_curve(pspec, workers),
+        null_statistics(long, workers),
+        centering_normality_diagnostic(long.model, LONG_N, d, 7, seed=3, workers=workers),
+        trim_truncation_divergence(long.model, LONG_N, d, 7, seed=3, workers=workers),
+    )
+
+
+@pytest.fixture(scope="module")
+def default_block_results():
+    return block_results(1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "batch_elems, long_row_elems",
+    [(1 << 13, 1 << 22), (1 << 22, 1 << 22), (1 << 13, 3 * LONG_N)],
+)
+def test_results_do_not_depend_on_block_size_or_workers(
+    monkeypatch, default_block_results, workers, batch_elems, long_row_elems
+):
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMS", batch_elems)
+    monkeypatch.setattr(montecarlo, "_LONG_ROW_ELEMS", long_row_elems)
+    nulls, power, long_nulls, centering, gaps = block_results(workers)
+    assert_array_equal(nulls, default_block_results[0])
+    assert power == default_block_results[1]
+    assert_array_equal(long_nulls, default_block_results[2])
+    assert centering == default_block_results[3]
+    assert gaps == default_block_results[4]
+
+
 def test_partial_sums_past_the_float_range_give_the_scaled_statistic():
     # the pairwise sum of the row is 0.0, but its running sum overflows at k = 2
     row = np.zeros(16)
@@ -268,6 +310,8 @@ def test_centering_diagnostic_smoke():
     assert abs(summary.mean) < 1.0
     assert summary.variance is not None and 0.2 < summary.variance < 3.0
     assert 0.0 < summary.ks_to_normal < 0.5
+    with pytest.raises(ValueError, match="trim depth"):
+        centering_normality_diagnostic(one, 0, 2, reps=3)
 
 
 def test_trim_truncation_divergence_smoke():
