@@ -8,6 +8,7 @@ Exit status: 0 success (or no rejection), 1 rejection (test subcommand),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -393,6 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: building it costs about 1.5 ms,
+    and each parse fills a new namespace, so no call sees another's options."""
+    return build_parser()
+
+
 _COMMANDS = {
     "test": _cmd_test,
     "simulate": _cmd_simulate,
@@ -404,9 +412,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -136,10 +136,14 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
     # v**(-1/alpha) passes the float range for v < exp(-709.78 * alpha), which
     # samplers meet at small alpha (v < 8.3e-4 at alpha = 0.01).  The draw is
     # then +-inf; the trim removes it unless d or more draws of one sample
-    # overflow, and those samples have no statistic.
+    # overflow, and those samples have no statistic.  The block is made 1-d
+    # for both Pareto families, because 0-d operands get numpy's scalar pow,
+    # which rounds differently from the array loop.
+    shape = u.shape
+    u = u.reshape(-1)
     with np.errstate(over="ignore"):
         if model.family != TWO_SIDED_PARETO:
-            return (1.0 - u) ** (-1.0 / a) - 1.0
+            return ((1.0 - u) ** (-1.0 / a) - 1.0).reshape(shape)
         # Both branches in one pass, with no boolean gather, scatter or
         # select, which mispredict on random draws.  r is 1.0 on the right
         # (u > q) and 0.0 on the left, so multiplying by r or 1 - r selects
@@ -147,10 +151,7 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
         # -(1-u)/-p = (1-u)/p on the right.  A zero tail weight is never a
         # divisor, since no u in (0, 1) takes its branch.  With sign = 2r - 1,
         # s*sign - sign is 1 - s on the left and s - 1 on the right, bit for
-        # bit, and +0.0 at u == q.  The block is made 1-d because 0-d operands
-        # get numpy's scalar pow, which rounds differently from the array loop.
-        shape = u.shape
-        u = u.reshape(-1)
+        # bit, and +0.0 at u == q.
         r = (u > model.q).astype(float)
         v = u - r
         den = (1.0 - r) * model.q

@@ -6,6 +6,13 @@ build the CUSUM path of each resample, normalize by sigma_hat * sqrt(m), and
 take an empirical quantile over B replicates.  Replicate b draws from
 substream b of the plan's seed, so replicates are independent and the whole
 procedure is reproducible regardless of evaluation order.
+
+Replicate b's draw is exactly numpy's: ``Generator.integers(0, n, size=m)``
+(with replacement) or ``Generator.permutation(n)[:m]`` (without) on stream b.
+The critical value works through the replicates in blocks of about 64 KiB of
+draws.  A bootstrap block takes each replicate's raw Philox words and applies
+numpy's own bounded-integer rule to the whole block at once; then one gather
+and one path step serve every row of the block.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
-    CusumPath, DegenerateSampleError, _path_sup, _Rows, _trim_one, cusum_path, trim
+    CusumPath, DegenerateSampleError, _Rows, _tie_down, _trim_one, cusum_path, trim
 )
 
 __all__ = [
@@ -35,9 +42,11 @@ WITH_REPLACEMENT = "with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
 
 # Draws per block pushed through the path step in one call: enough rows to
-# amortize the per-call overhead, few enough that the block's temporaries stay
-# small (all B x m draws at once would cost tens of MB at B = 1000, m = 1000).
-_BLOCK_ELEMS = 1 << 16
+# amortize numpy's per-call overhead, and 64 KiB of doubles, so that the
+# block's temporaries (raw words, indices, draws, path) stay in L2 cache and
+# under glibc's 128 KiB mmap threshold: freed blocks come back from the heap
+# instead of costing fresh page faults.  montecarlo's blocks are the same size.
+_BLOCK_ELEMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -103,14 +112,62 @@ def trimmed_centered(sample, d: int) -> np.ndarray:
     return ts.trimmed_values - ts.trimmed_mean
 
 
-def _draw(x: np.ndarray, plan: ResamplePlan, replicate_index: int) -> np.ndarray:
-    n = x.size
+def _check_size(plan: ResamplePlan, n: int) -> None:
+    """Without replacement, a resample cannot be larger than the sample."""
+    if plan.mode == WITHOUT_REPLACEMENT and plan.m > n:
+        raise ValueError(f"without-replacement draws need m <= n, got m={plan.m} > n={n}")
+
+
+def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
+    """The replicate's m indices into a sample of size n, drawn by numpy on
+    the replicate's stream."""
     rng = stream_generator(plan.seed, replicate_index)
     if plan.mode == WITH_REPLACEMENT:
-        return x[rng.integers(0, n, size=plan.m)]
-    if plan.m > n:
-        raise ValueError(f"without-replacement draws need m <= n, got m={plan.m} > n={n}")
-    return x[rng.permutation(n)[: plan.m]]
+        return rng.integers(0, n, size=plan.m)
+    return rng.permutation(n)[: plan.m]
+
+
+def _indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, m) draw indices of replicates start..stop-1: row
+    b - start is exactly _numpy_draw(plan, n, b)."""
+    if plan.mode == WITH_REPLACEMENT and n <= 1 << 32:
+        return _bootstrap_indices(plan, n, start, stop)
+    out = np.empty((stop - start, plan.m), dtype=np.intp)
+    for row in range(stop - start):
+        out[row] = _numpy_draw(plan, n, start + row)
+    return out
+
+
+def _bootstrap_indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
+    """_indices with replacement, for n <= 2**32, from raw Philox words.
+
+    numpy's Generator.integers(0, n) for n <= 2**32 is Lemire's method on
+    32-bit candidates c, which Philox serves as the low and then the high half
+    of each 64-bit word: with prod = c * n, c is accepted iff
+    prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  Acceptance
+    depends on c alone, so a replicate's draws are the first m accepted
+    candidates of its stream, and one pass over the whole block applies the
+    rule.  A row gets m candidates and, as spares, twice the rejections
+    expected among them (fewer than m * n / 2**32) plus 16; a row that still
+    comes up short is drawn by numpy itself.
+    """
+    m = plan.m
+    width = (m + 16 + 2 * (m * n >> 32) + 1) // 2  # two candidates per word
+    words = np.empty((stop - start, width), dtype=np.uint64)
+    for row in range(stop - start):
+        words[row] = stream_generator(plan.seed, start + row).bit_generator.random_raw(width)
+    prod = words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+    prod *= np.uint64(n)
+    idx = prod[:, :m] >> np.uint64(32)
+    threshold = (2**32 - n) % n
+    low = prod.astype(np.uint32)  # prod mod 2**32
+    if low[:, :m].min() < threshold:  # a rejection, rare unless n is near 2**32
+        for row in np.flatnonzero((low[:, :m] < threshold).any(axis=1)):
+            accepted = prod[row, low[row] >= threshold][:m] >> np.uint64(32)
+            if accepted.size < m:
+                accepted = _numpy_draw(plan, n, start + row)
+            idx[row] = accepted
+    return idx.view(np.int64)  # every index is below 2**32
 
 
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
@@ -122,7 +179,8 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
         raise ValueError(
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
-    return cusum_path(_draw(arr, plan, replicate_index))
+    _check_size(plan, arr.size)
+    return cusum_path(arr[_indices(plan, arr.size, replicate_index, replicate_index + 1)[0]])
 
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
@@ -132,19 +190,25 @@ def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValu
 
 def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate:
     """resampled_critical_value of the kernel's one-row output.  Replicate b
-    draws from its own stream; blocks of draws go through the path step."""
+    draws from its own stream; each block of replicates is drawn, gathered and
+    reduced to its row sups in a few numpy calls."""
     if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
-    # at the kernel's scale 2**-e, so that the resampled sums cannot overflow
+    # At the kernel's scale 2**-e the trimmed values and their mean lie below
+    # 1 in modulus, so |x| < 2, the resampled sums stay far inside the float
+    # range and the path step's 2**-e fallback is never needed here.
     e = trimmed.exponent[0]
     x = np.ldexp(trimmed.values[0], -e) - np.ldexp(trimmed.mean[0], -e)
+    _check_size(plan, x.size)
     scale = math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(plan.m)
     b_total = plan.replications
     rows = max(1, _BLOCK_ELEMS // plan.m)
     stats = np.empty(b_total)
     for start in range(0, b_total, rows):
         stop = min(start + rows, b_total)
-        block = np.array([_draw(x, plan, b) for b in range(start, stop)])
-        stats[start:stop] = _path_sup(block, np.zeros(stop - start, dtype=int))[1] / scale
+        y = x[_indices(plan, x.size, start, stop)]
+        np.cumsum(y, axis=1, out=y)
+        path = np.abs(_tie_down(y, plan.m), out=y)
+        stats[start:stop] = path.max(axis=1) / scale
     value, standard_error = _quantile_and_error(stats, plan.level)
     return CriticalValueEstimate(value, plan.level, b_total, standard_error)

@@ -121,6 +121,15 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return threshold, absx <= threshold[:, None]
 
 
+def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
+    """S_k - S_n * (k/n), in place, on each row of partial sums of n terms.
+    The c columns of sums hold S_k for k = n - c + 1..n: c = n + 1 with a
+    leading S_0, or c = n.  Callers pass a whole contiguous block, not a
+    column slice, which numpy would loop over row by row."""
+    sums -= sums[:, -1:] * (np.arange(n + 1 - sums.shape[1], n + 1) / n)
+    return sums
+
+
 def _path_sup(y: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The path step: tied-down partial sums S_k - (k/n) S_n, k = 0..n, of each
     row of an (R, n) block, with the row-wise max modulus times 2**-exponent
@@ -137,7 +146,7 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarr
     points = np.zeros((r, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(y, axis=1, out=points[:, 1:])
-        points -= points[:, -1:] * (np.arange(n + 1) / n)
+        _tie_down(points, n)
         abs_points = np.abs(points)
         argmax = abs_points.argmax(axis=1)
         sup = np.ldexp(abs_points[np.arange(r), argmax], -exponent)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from trimcusum import cli
 from trimcusum.cli import DataError, load_series, main
 
 
@@ -212,6 +213,27 @@ def test_test_subcommand_rejects_a_resample_seed_past_128_bits(capsys, hand_csv)
     assert code == 2
     assert out == ""
     assert "seed must be an integer in [0, 2**128)" in err
+
+
+def test_one_parser_serves_every_call_without_carrying_state_over(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("".join(f"{v}\n" for v in np.random.default_rng(3).standard_normal(40)))
+    cli._parser.cache_clear()
+    alone = run_cli(capsys, "quantile", "--level", "0.9")
+    assert cli._parser() is cli._parser()
+
+    code, out, _ = run_cli(capsys, "test", "--input", str(path), "--d", "5")
+    assert json.loads(out)["config"]["d"] == 5
+    code, out, _ = run_cli(capsys, "test", "--input", str(path))
+    assert json.loads(out)["config"]["d"] == 3  # the default depth, floor(40**0.3)
+    assert json.loads(out)["config"]["resample_B"] is None
+    assert run_cli(capsys, "quantile", "--level", "0.9") == alone
+
+    code, _, err = run_cli(capsys, "test", "--input", str(path), "--no-such-option")
+    assert code == 2 and "--no-such-option" in err
+    code, _, err = run_cli(capsys, "quantile", "--level", "2")
+    assert code == 2
+    assert run_cli(capsys, "quantile", "--level", "0.9") == alone
 
 
 def test_quantile_prints_tabulated_value(capsys):

@@ -346,6 +346,11 @@ def test_scalar_array_consistency():
     assert_allclose(cdf(m, t), [cdf(m, float(v)) for v in t], rtol=0, atol=0)
     u = np.array([0.1, 0.5, 0.93])
     assert_allclose(quantile(m, u), [quantile(m, float(v)) for v in u], rtol=0, atol=0)
+    # a Python float gets the array loop's bits in every family; numpy's
+    # scalar pow differs in the last bit for about 1 u in 18
+    u = np.append(np.random.default_rng(0).uniform(size=2000), 0.38367755426188344)
+    for m in (two_sided_pareto(1.5), one_sided_pareto(1.5), gaussian()):
+        assert_array_equal(quantile(m, u), [quantile(m, float(v)) for v in u])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.99])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from trimcusum import resampling
 from trimcusum import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
@@ -170,3 +173,73 @@ def test_replicate_streams_do_not_overlap():
         value = sum(int(w) << (64 * i) for i, w in enumerate(counter))
         assert value == b * STREAM_STRIDE
     assert STREAM_STRIDE > 10 ** 9  # far above any per-replicate consumption
+
+
+def numpy_draw(seed, b, n, m, mode):
+    """Replicate b's indices from a newly built generator on stream b."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=b * STREAM_STRIDE))
+    if mode == WITH_REPLACEMENT:
+        return gen.integers(0, n, size=m)
+    return gen.permutation(n)[:m]
+
+
+# 2**31 + 1 and 3 * 2**30 reject about 50 % and 25 % of the 32-bit candidates;
+# 2**32 takes them whole and 2**32 + 1 takes numpy's 64-bit rule.
+WIDE_N = (2**31 + 1, 3 * 2**30, 2**32, 2**32 + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    start=st.one_of(st.integers(0, 40), st.integers(0, 2**128 - 8)),
+    rows=st.integers(1, 6),
+    n=st.one_of(st.sampled_from((1, 2, 3, 1000) + WIDE_N), st.integers(1, 3000)),
+    m=st.integers(1, 400),
+    mode=st.sampled_from((WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
+)
+@example(seed=0, start=0, rows=1, n=2, m=1, mode=WITH_REPLACEMENT)
+@example(seed=5, start=3, rows=4, n=2, m=300, mode=WITH_REPLACEMENT)
+@example(seed=1, start=0, rows=6, n=2**31 + 1, m=400, mode=WITH_REPLACEMENT)
+@example(seed=2, start=7, rows=6, n=3 * 2**30, m=400, mode=WITH_REPLACEMENT)
+@example(seed=3, start=0, rows=3, n=5, m=5, mode=WITHOUT_REPLACEMENT)
+def test_indices_are_numpys_draws_bit_for_bit(seed, start, rows, n, m, mode):
+    if mode == WITHOUT_REPLACEMENT:
+        n = min(n, 3000)  # permutation(n) allocates n indices
+        m = min(m, n)
+    plan = ResamplePlan(m=m, mode=mode, replications=1, seed=seed)
+    got = resampling._indices(plan, n, start, start + rows)
+    assert got.shape == (rows, m)
+    for row in range(rows):
+        assert_array_equal(got[row], numpy_draw(seed, start + row, n, m, mode))
+
+
+def test_rows_short_of_accepted_candidates_are_drawn_by_numpy(monkeypatch):
+    # at n = 2**31 + 1 half of the candidates are rejected, more than the
+    # spare candidates cover in some rows of this block
+    redrawn = []
+    draw = resampling._numpy_draw
+
+    def spy(plan, n, b):
+        redrawn.append(b)
+        return draw(plan, n, b)
+
+    monkeypatch.setattr(resampling, "_numpy_draw", spy)
+    n, m = 2**31 + 1, 400
+    plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=1)
+    got = resampling._indices(plan, n, 0, 16)
+    assert 0 < len(redrawn) < 16
+    for b in range(16):
+        assert_array_equal(got[b], numpy_draw(1, b, n, m, WITH_REPLACEMENT))
+
+
+def test_a_rejected_candidate_is_skipped_as_numpy_skips_it():
+    # stream 28814 of seed 0 rejects its 229th 32-bit candidate at n = 1000
+    n = m = 1000
+    words = np.random.Philox(key=0, counter=28814 * STREAM_STRIDE).random_raw(m)
+    prod = words.astype("<u8").view("<u4").astype(np.uint64) * np.uint64(n)
+    rejected = np.flatnonzero(prod % 2**32 < (2**32 - n) % n)
+    assert rejected.tolist() == [228]
+    plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=0)
+    got = resampling._indices(plan, n, 28810, 28818)  # one block of 8 rows
+    for row in range(8):
+        assert_array_equal(got[row], numpy_draw(0, 28810 + row, n, m, WITH_REPLACEMENT))
