@@ -4,8 +4,11 @@ Replicate r of a run always draws from substream r of the master seed, so every
 aggregate is a pure function of its spec and is bit-identical however the
 replicates are scheduled.  Replicates are split into blocks whose row count
 depends on n alone, never on the worker count; each block is one job, sampled
-once and evaluated as a whole, and jobs may run in parallel processes.
-Per-replicate results land in replicate order and are reduced once at the end.
+once and evaluated as a whole, and jobs may run in parallel processes.  A
+critical-value table's blocks depend on its largest n: replicate r at size n
+is the first n values of stream r, so a table draws each replicate once, at
+that n, and every smaller n reads its prefix.  Per-replicate results land in
+replicate order and are reduced once at the end.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .heavy_tail_models import (
 )
 from ._streams import SEED_LIMIT, stream_uniforms
 from .limit_dist import sup_bridge_quantile
-from .resampling import empirical_quantile
+from .resampling import _sorted_quantile_and_error
 from .trimmed_cusum import (
     DegenerateSampleError, _check_depth, _gap_sup, _gap_terms, _trim_rows, _trim_rule,
     default_trim_depth,
@@ -58,9 +61,9 @@ DEFAULT_SHIFT_GRID: tuple[float, ...] = tuple(i / 10 for i in range(-30, 31))
 
 # Elements per sample block: 2**13 doubles are 64 KiB, so the block and each of
 # the kernel's temporaries fit in L2 cache and stay under glibc's 128 KiB mmap
-# threshold (see _run_jobs).
+# threshold (see _block_rows).
 _BATCH_ELEMS = 1 << 13
-# Elements per block for rows longer than _BATCH_ELEMS (see _run_jobs).
+# Elements per block for rows longer than _BATCH_ELEMS (see _block_rows).
 _LONG_ROW_ELEMS = 1 << 22
 
 
@@ -196,18 +199,8 @@ def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
         ) from None
 
 
-def _job(args):
-    fn, model, n, d, seed, start, count, *extra = args
-    return fn(_sample_block(model, n, seed, start, count), d, seed, start, *extra)
-
-
-def _run_jobs(
-    fn, workers: int, model: TailModel, n: int, d: int, seed: int, total: int, *extra
-) -> list:
-    """fn(block, d, seed, start, *extra) of each sample block, in replicate order.
-
-    Replicates 0..total-1 are split into blocks of a row count fixed by n
-    alone, so results never depend on the worker count.
+def _block_rows(n: int) -> int:
+    """Rows of a sample block of length-n rows.
 
     A block holds _BATCH_ELEMS values, 64 KiB of doubles.  It and every
     temporary the kernel makes from it then stay in L2 cache, and each is
@@ -215,30 +208,58 @@ def _run_jobs(
     the heap by the next block instead of being mapped and faulted in again.
     A row longer than that cannot stay in cache, and a block of one such row
     would fault in every temporary once per replicate, so long rows keep
-    blocks of _LONG_ROW_ELEMS values (32 MB).  The pool takes the jobs in
-    chunks, about four per worker, so that small jobs do not each pay an
-    inter-process round trip.
+    blocks of _LONG_ROW_ELEMS values (32 MB).
+    """
+    return _BATCH_ELEMS // n if n <= _BATCH_ELEMS else max(1, _LONG_ROW_ELEMS // n)
+
+
+def _call(payload):
+    job, *args = payload
+    return job(*args)
+
+
+def _run_jobs(job, workers: int, total: int, rows: int, *args) -> list:
+    """job(start, count, *args) of each run of `rows` replicates, in replicate
+    order.
+
+    Replicates 0..total-1 are split into runs of a row count the caller fixes
+    from the sample sizes, never from the worker count, so results never
+    depend on it: a single n's job is one sample block of _block_rows(n) rows
+    (_run_blocks), and a table's jobs are sized from its largest n
+    (critical_value_table).  The pool takes the jobs in chunks, about four
+    per worker, so that small jobs do not each pay an inter-process round
+    trip.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if total < 1:
         raise ValueError("reps must be at least 1")
-    _check_depth(d, n)
-    rows = _BATCH_ELEMS // n if n <= _BATCH_ELEMS else max(1, _LONG_ROW_ELEMS // n)
     payloads = [
-        (fn, model, n, d, seed, start, min(rows, total - start), *extra)
-        for start in range(0, total, rows)
+        (job, start, min(rows, total - start), *args) for start in range(0, total, rows)
     ]
     if workers == 1 or len(payloads) <= 1:
-        return [_job(p) for p in payloads]
+        return [_call(p) for p in payloads]
     chunksize = -(-len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_job, payloads, chunksize=chunksize))
+        return list(pool.map(_call, payloads, chunksize=chunksize))
+
+
+def _block_job(start, count, fn, model, n, d, seed, *extra):
+    return fn(_sample_block(model, n, seed, start, count), d, seed, start, *extra)
+
+
+def _run_blocks(
+    fn, workers: int, model: TailModel, n: int, d: int, seed: int, total: int, *extra
+) -> list:
+    """fn(block, d, seed, start, *extra) of each sample block of length-n rows,
+    in replicate order."""
+    _check_depth(d, n)
+    return _run_jobs(_block_job, workers, total, _block_rows(n), fn, model, n, d, seed, *extra)
 
 
 def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
     """The N replicated test statistics under the no-change hypothesis."""
-    jobs = _run_jobs(
+    jobs = _run_blocks(
         _statistics, workers, spec.model, spec.n, spec.trim_depth, spec.master_seed,
         spec.replications,
     )
@@ -251,16 +272,90 @@ def rejection_rate(spec: SimulationSpec, critical_value: float, workers: int = 1
     return int(np.count_nonzero(stats > critical_value)) / spec.replications
 
 
+def _table_job(start, count, model, sizes, depths, seed):
+    """Statistics of replicates start..start+count-1 at each of `sizes`
+    (distinct, ascending) as a (len(sizes), count) array, and for each size
+    the DegenerateSampleError of its lowest replicate without a statistic,
+    or None.
+
+    Replicate r at size n is the first n values of stream r, so each replicate
+    is drawn once, at the largest size, one sample block at a time.  A smaller
+    size's rows are a block's first n columns; they are staged into a sample
+    block of their own size, which goes to the kernel when full, and the
+    remainder goes at the end.
+    """
+    stats = np.empty((len(sizes), count))
+    errors = [None] * len(sizes)
+    done = [0] * len(sizes)  # statistics written per size
+
+    def evaluate(k, x):
+        if errors[k] is None:
+            try:
+                stats[k, done[k] : done[k] + len(x)] = _statistics(
+                    x, depths[k], seed, start + done[k]
+                )
+            except DegenerateSampleError as err:
+                errors[k] = err
+        done[k] += len(x)
+
+    staged = [np.empty((min(_block_rows(n), count), n)) for n in sizes[:-1]]
+    held = [0] * len(staged)  # rows waiting in each staging block
+    top = sizes[-1]
+    rows = _block_rows(top)
+    for lo in range(0, count, rows):
+        x = _sample_block(model, top, seed, start + lo, min(rows, count - lo))
+        for k, block in enumerate(staged):
+            i = 0
+            while i < len(x):
+                take = min(len(block) - held[k], len(x) - i)
+                block[held[k] : held[k] + take] = x[i : i + take, : block.shape[1]]
+                held[k] += take
+                i += take
+                if held[k] == len(block):
+                    evaluate(k, block)
+                    held[k] = 0
+        evaluate(len(sizes) - 1, x)
+    for k, block in enumerate(staged):
+        if held[k]:
+            evaluate(k, block[: held[k]])
+    return stats, errors
+
+
 def critical_value_table(
     spec: SimulationSpec, n_list: Sequence[int], workers: int = 1
 ) -> list[tuple[float, float]]:
     """Empirical level-quantiles of the null statistic for each n, plus the
-    asymptotic value as a final row labeled n = inf."""
-    rows: list[tuple[float, float]] = []
-    for n in n_list:
-        sub = replace(spec, n=int(n))
-        stats = null_statistics(sub, workers)
-        rows.append((float(n), empirical_quantile(stats, spec.level)))
+    asymptotic value as a final row labeled n = inf.
+
+    Each row equals empirical_quantile(null_statistics(replace(spec, n=n))),
+    but the whole list is one pass: a replicate is drawn once, at the largest
+    n, and every smaller n reads its prefix (_table_job).
+    """
+    depths = {int(n): replace(spec, n=int(n)).trim_depth for n in n_list}
+    quantiles = {}
+    if depths:
+        sizes = sorted(depths)
+        # as many whole sample blocks of the largest n as fit in one block of
+        # the smallest; at n = 100, 200, 400, 800 (blocks of 81, 40, 20 and
+        # 10 rows) a job is 80 rows, and no staging block goes out part full
+        job_rows = _block_rows(sizes[-1])
+        job_rows *= max(1, max(map(_block_rows, sizes)) // job_rows)
+        jobs = _run_jobs(
+            _table_job, workers, spec.replications, job_rows, spec.model, sizes,
+            [depths[n] for n in sizes], spec.master_seed,
+        )
+        # the error the per-n loop would meet first: the first n in list
+        # order that has one, at its lowest replicate
+        for n in n_list:
+            k = sizes.index(int(n))
+            for _, errors in jobs:
+                if errors[k] is not None:
+                    raise errors[k]
+        stats = np.concatenate([s for s, _ in jobs], axis=1)
+        for k, n in enumerate(sizes):
+            stats[k].sort()
+            quantiles[n] = _sorted_quantile_and_error(stats[k], spec.level)[0]
+    rows = [(float(n), quantiles[int(n)]) for n in n_list]
     rows.append((math.inf, sup_bridge_quantile(spec.level)))
     return rows
 
@@ -281,7 +376,7 @@ def power_curve(spec: PowerSpec, workers: int = 1) -> list[tuple[float, float]]:
     curves for different change locations or levels are directly comparable.
     """
     base = spec.base
-    jobs = _run_jobs(
+    jobs = _run_blocks(
         _power_job, workers, base.model, base.n, base.trim_depth, base.master_seed,
         base.replications, spec.change_at, spec.shift_grid, spec.critical_value,
     )
@@ -324,7 +419,7 @@ def centering_normality_diagnostic(
     reports the sample mean, sample variance (absent when reps = 1) and the
     KS distance to N(0, 1).
     """
-    vals = np.concatenate(_run_jobs(_centering_job, workers, model, n, d, seed, reps, model))
+    vals = np.concatenate(_run_blocks(_centering_job, workers, model, n, d, seed, reps, model))
     variance = float(np.var(vals, ddof=1)) if reps > 1 else None
     return DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
 
@@ -347,7 +442,7 @@ def trim_truncation_divergence(
     one stays bounded away from zero for asymmetric laws, which is exactly the
     effect of the random centering term.
     """
-    results = _run_jobs(_gap_job, workers, model, n, d, seed, reps, model)
+    results = _run_blocks(_gap_job, workers, model, n, d, seed, reps, model)
     centered = np.concatenate([r[0] for r in results])
     uncentered = np.concatenate([r[1] for r in results])
     return GapSummary(float(np.median(centered)), float(np.median(uncentered)))

@@ -87,7 +87,12 @@ def _quantile_and_error(values, level: float) -> tuple[float, float]:
     from crossing an integer through float rounding alone) and its
     distribution-free dispersion: half the spread between the order
     statistics one binomial standard deviation to either side of that rank."""
-    v = np.sort(np.asarray(values, dtype=float))
+    return _sorted_quantile_and_error(np.sort(np.asarray(values, dtype=float)), level)
+
+
+def _sorted_quantile_and_error(v: np.ndarray, level: float) -> tuple[float, float]:
+    """_quantile_and_error of values v already sorted in ascending order, so
+    that a caller owning its array can sort it in place instead of copying."""
     if v.size == 0:
         raise ValueError("cannot take a quantile of an empty collection")
     if not 0.0 < level < 1.0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from trimcusum import (
     centering_normality_diagnostic,
     critical_value_table,
     default_trim_depth,
+    empirical_quantile,
     gaussian,
     generate_null,
     null_statistics,
@@ -143,10 +145,15 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
 LONG_N = 9000  # above 2**13, so its blocks hold _LONG_ROW_ELEMS // n rows
 
 
+BLOCK_SPEC = SimulationSpec(MODEL, n=60, replications=1500, master_seed=8)
+# unsorted, with a duplicate, and with a row longer than 2**13
+TABLE_N = [80, 20, 80, LONG_N]
+
+
 def block_results(workers):
     """Every Monte Carlo entry point on short rows (12 blocks of 2**13 values)
     and on rows longer than 2**13."""
-    spec = SimulationSpec(MODEL, n=60, replications=1500, master_seed=8)
+    spec = BLOCK_SPEC
     pspec = PowerSpec(base=spec, change_at=30, critical_value=1.2, shift_grid=(-1.0, 0.0, 0.5))
     long = SimulationSpec(one_sided_pareto(1.5), n=LONG_N, replications=7, master_seed=3)
     d = long.trim_depth
@@ -156,6 +163,7 @@ def block_results(workers):
         null_statistics(long, workers),
         centering_normality_diagnostic(long.model, LONG_N, d, 7, seed=3, workers=workers),
         trim_truncation_divergence(long.model, LONG_N, d, 7, seed=3, workers=workers),
+        critical_value_table(spec, TABLE_N, workers),
     )
 
 
@@ -174,12 +182,23 @@ def test_results_do_not_depend_on_block_size_or_workers(
 ):
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMS", batch_elems)
     monkeypatch.setattr(montecarlo, "_LONG_ROW_ELEMS", long_row_elems)
-    nulls, power, long_nulls, centering, gaps = block_results(workers)
+    nulls, power, long_nulls, centering, gaps, table = block_results(workers)
     assert_array_equal(nulls, default_block_results[0])
     assert power == default_block_results[1]
     assert_array_equal(long_nulls, default_block_results[2])
     assert centering == default_block_results[3]
     assert gaps == default_block_results[4]
+    assert table == default_block_results[5]
+
+
+def test_table_rows_are_the_quantiles_of_each_n_alone(default_block_results):
+    # each n reads the prefix of a draw at the largest n, which must give the
+    # statistics that n's own run draws
+    table = default_block_results[5]
+    assert [n for n, _ in table] == [float(n) for n in TABLE_N] + [math.inf]
+    for (_, cv), n in zip(table, TABLE_N):
+        stats = null_statistics(replace(BLOCK_SPEC, n=n))
+        assert cv == empirical_quantile(stats, BLOCK_SPEC.level)
 
 
 def test_partial_sums_past_the_float_range_give_the_scaled_statistic():
@@ -216,6 +235,37 @@ def test_fewer_than_d_overflowed_draws_give_statistics_without_a_warning():
         # at d = 2 some row holds two overflowed draws, so it has no statistic
         with pytest.raises(DegenerateSampleError, match=r"master seed 0, n=200, d=2\)"):
             null_statistics(replace(spec, d=2))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_list", [[400, 200], [200, 400]])
+def test_table_raises_the_error_of_the_first_n_in_list_order(workers, n_list):
+    # at d = 2 both sizes have replicates with two overflowed draws; the
+    # table names the one the per-n loop would meet first
+    spec = SimulationSpec(two_sided_pareto(0.01), 200, 2000, d=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateSampleError) as first:
+            null_statistics(replace(spec, n=n_list[0]))
+        with pytest.raises(DegenerateSampleError) as raised:
+            critical_value_table(spec, n_list, workers)
+    assert f"n={n_list[0]}, d=2)" in str(first.value)
+    assert str(raised.value) == str(first.value)
+
+
+def test_table_memory_stays_within_a_few_sample_blocks():
+    # a table keeps one 64 KiB staging block per smaller n, not a whole job's
+    # draws at the largest n (81 x 800 doubles here, about 3 MiB with its
+    # temporaries)
+    spec = SimulationSpec(MODEL, 100, 2000)
+    n_list = [100, 200, 400, 800]
+    critical_value_table(spec, n_list)  # warm-up
+    tracemalloc.start()
+    try:
+        critical_value_table(spec, n_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_zero_variance_replicate_is_named():
