@@ -44,6 +44,7 @@ from .resampling import (
 from .trimmed_cusum import (
     DegenerateSampleError,
     _trim_rows,
+    cusum_path,
     default_trim_depth,
     locate_change,
 )
@@ -140,8 +141,9 @@ def _plan(args, n: int, replications: int) -> ResamplePlan:
 
 
 def _cmd_test(args) -> tuple[int, str]:
-    """One kernel call gives the statistic, the trimmed estimates, the
-    resampling input and the change location."""
+    """One kernel call gives the statistic, the trimmed estimates and the
+    resampling input; the path of its trimmed values gives the change
+    location."""
     series = load_series(args.input)
     n = series.size
     d = _depth(args, n)
@@ -159,7 +161,7 @@ def _cmd_test(args) -> tuple[int, str]:
         crit_resampled = _critical_value(rows, _plan(args, n, args.resample_B)).value
         method = "resampled"
         critical = crit_resampled
-    location = locate_change(rows.path())
+    location = locate_change(cusum_path(rows.values[0]))
     reject = statistic > critical
     config = {
         "subcommand": "test",

@@ -232,11 +232,14 @@ def _truncated_first_moment(model: TailModel, t: np.ndarray) -> np.ndarray:
     if model.family == GAUSSIAN:
         return np.zeros_like(t)
     a = model.alpha
-    # One-sided building block: integral of x*a*(1+x)**-(a+1) over (0, t].
+    # One-sided building block: integral of x*a*(1+x)**-(a+1) over (0, t],
+    # a/(1-a) * ((1+t)**(1-a) - 1) + (1+t)**-a - 1.  Written with expm1 of
+    # L = log(1+t), the first term keeps its digits as a -> 1.
     if a == 1.0:
         g = np.log1p(t) + 1.0 / (1.0 + t) - 1.0
     else:
-        g = (a / (1.0 - a)) * ((1.0 + t) ** (1.0 - a) - 1.0) + ((1.0 + t) ** (-a) - 1.0)
+        log_t = np.log1p(t)
+        g = a * np.expm1((1.0 - a) * log_t) / (1.0 - a) + np.expm1(-a * log_t)
     # The left tail mirrors the right with weight q, so it contributes -q*g.
     return (model.p - model.q) * g
 

@@ -195,7 +195,8 @@ def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
         i = int(rows.undefined()[0])
         raise DegenerateSampleError(
             f"replicate {start + i} (master seed {seed}, n={x.shape[1]}, d={d}) has "
-            f"trimmed sum of squares {rows.centered_sum_sq[i]!r}, so its statistic is undefined"
+            f"trimmed sum of squares {float(rows.centered_sum_sq[i])}, so its statistic is "
+            "undefined"
         ) from None
 
 
@@ -279,45 +280,24 @@ def _table_job(start, count, model, sizes, depths, seed):
     or None.
 
     Replicate r at size n is the first n values of stream r, so each replicate
-    is drawn once, at the largest size, one sample block at a time.  A smaller
-    size's rows are a block's first n columns; they are staged into a sample
-    block of their own size, which goes to the kernel when full, and the
-    remainder goes at the end.
+    is drawn once, at the largest size, one sample block at a time, and each
+    size reads its sample blocks as slices of that one draw.
     """
-    stats = np.empty((len(sizes), count))
-    errors = [None] * len(sizes)
-    done = [0] * len(sizes)  # statistics written per size
-
-    def evaluate(k, x):
-        if errors[k] is None:
-            try:
-                stats[k, done[k] : done[k] + len(x)] = _statistics(
-                    x, depths[k], seed, start + done[k]
-                )
-            except DegenerateSampleError as err:
-                errors[k] = err
-        done[k] += len(x)
-
-    staged = [np.empty((min(_block_rows(n), count), n)) for n in sizes[:-1]]
-    held = [0] * len(staged)  # rows waiting in each staging block
     top = sizes[-1]
+    x = np.empty((count, top))
     rows = _block_rows(top)
     for lo in range(0, count, rows):
-        x = _sample_block(model, top, seed, start + lo, min(rows, count - lo))
-        for k, block in enumerate(staged):
-            i = 0
-            while i < len(x):
-                take = min(len(block) - held[k], len(x) - i)
-                block[held[k] : held[k] + take] = x[i : i + take, : block.shape[1]]
-                held[k] += take
-                i += take
-                if held[k] == len(block):
-                    evaluate(k, block)
-                    held[k] = 0
-        evaluate(len(sizes) - 1, x)
-    for k, block in enumerate(staged):
-        if held[k]:
-            evaluate(k, block[: held[k]])
+        x[lo : lo + rows] = _sample_block(model, top, seed, start + lo, min(rows, count - lo))
+    stats = np.empty((len(sizes), count))
+    errors = [None] * len(sizes)
+    for k, (n, d) in enumerate(zip(sizes, depths)):
+        rows = _block_rows(n)
+        for lo in range(0, count, rows):
+            try:
+                stats[k, lo : lo + rows] = _statistics(x[lo : lo + rows, :n], d, seed, start + lo)
+            except DegenerateSampleError as err:
+                errors[k] = err
+                break
     return stats, errors
 
 
@@ -336,8 +316,9 @@ def critical_value_table(
     if depths:
         sizes = sorted(depths)
         # as many whole sample blocks of the largest n as fit in one block of
-        # the smallest; at n = 100, 200, 400, 800 (blocks of 81, 40, 20 and
-        # 10 rows) a job is 80 rows, and no staging block goes out part full
+        # the smallest, so that every n's slices are about whole blocks; at
+        # n = 100, 200, 400, 800 (blocks of 81, 40, 20 and 10 rows) a job is
+        # 80 rows, drawn as one 500 KB array
         job_rows = _block_rows(sizes[-1])
         job_rows *= max(1, max(map(_block_rows, sizes)) // job_rows)
         jobs = _run_jobs(
@@ -365,7 +346,10 @@ def _power_job(errors: np.ndarray, d: int, seed: int, start: int, change_at, gri
     x = errors.copy()
     for gi, shift in enumerate(grid):
         np.add(errors[:, change_at:], shift, out=x[:, change_at:])
-        counts[gi] = np.count_nonzero(_statistics(x, d, seed, start) > crit)
+        try:
+            counts[gi] = np.count_nonzero(_statistics(x, d, seed, start) > crit)
+        except DegenerateSampleError as err:
+            raise DegenerateSampleError(f"{err} at shift {shift}") from None
     return counts
 
 

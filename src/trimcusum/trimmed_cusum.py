@@ -6,8 +6,10 @@ values drop when all moduli are distinct).  The test statistic is the sup of
 the tied-down partial-sum path of the trimmed values divided by the trimmed
 standard-deviation estimate times sqrt(n).  One row-batched kernel,
 _trim_rows, computes all of it; the one-sample functions here, the Monte Carlo
-jobs and the CLI call it.  Its path step, _path_sup, which every tied-down path
-and the resampler use, owns the float-range fallback (summing again at 2**-e).
+jobs and the CLI call it.  Its path step, _path_sup, which also builds every
+path cusum_path returns, owns the float-range fallback (summing again at
+2**-e).  The resampler sums its own paths at the kernel's scale, where no
+fallback is needed.
 """
 
 from __future__ import annotations
@@ -130,37 +132,36 @@ def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
     return sums
 
 
-def _path_sup(y: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The path step: tied-down partial sums S_k - (k/n) S_n, k = 0..n, of each
-    row of an (R, n) block, with the row-wise max modulus times 2**-exponent
-    and its first argmax.
+def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The path step: writes the tied-down partial sums S_k - (k/n) S_n of each
+    row of an (R, n) block into `out` and returns the row-wise max modulus
+    times 2**-exponent.
 
-    points[:, 0] and points[:, n] are exactly zero: S_n is computed once and
-    k/n is exactly 1 at k = n, so the subtraction cancels bit-for-bit.  The
-    first argmax is therefore interior, or 0 on a flat path.  A row whose sup
-    is not finite is summed again on y * 2**-exponent and its points scaled
-    back: where 2**exponent exceeds its max modulus, its scaled sup is finite
-    and its points are inf only past the float range.
+    `out` holds k = 1..n (n columns), or k = 0..n (n + 1 columns, the first
+    zero).  The k = 0 and k = n sums are exactly zero: S_n is computed once and
+    k/n is exactly 1 at k = n, so the subtraction cancels bit-for-bit.  A row
+    whose sup is not finite is summed again on y * 2**-exponent and its sums
+    scaled back: where 2**exponent exceeds its max modulus, its scaled sup is
+    finite and its sums are inf only past the float range.
     """
-    r, n = y.shape
-    points = np.zeros((r, n + 1))
+    n = y.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(y, axis=1, out=points[:, 1:])
-        _tie_down(points, n)
-        abs_points = np.abs(points)
-        argmax = abs_points.argmax(axis=1)
-        sup = np.ldexp(abs_points[np.arange(r), argmax], -exponent)
+        np.cumsum(y, axis=1, out=out[:, out.shape[1] - n :])
+        sup = np.ldexp(np.abs(_tie_down(out, n)).max(axis=1), -exponent)
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
         if big.any():
+            # into zeros: a leading S_0 column of out is NaN now (0 - inf * 0)
+            redo = np.zeros((np.count_nonzero(big), out.shape[1]))
             scaled = np.ldexp(y[big], -exponent[big, None])
-            scaled_points, sup[big], argmax[big] = _path_sup(scaled, np.zeros_like(exponent[big]))
-            points[big] = np.ldexp(scaled_points, exponent[big, None])
-    return points, sup, argmax
+            sup[big] = _path_sup(scaled, np.zeros_like(exponent[big]), redo)
+            out[big] = np.ldexp(redo, exponent[big, None])
+    return sup
 
 
 class _Rows(NamedTuple):
     """The trimmed-CUSUM kernel's output for an (R, n) block, row by row.  The
-    unscaled sum of squares, sup and points are inf past the float range."""
+    unscaled sum of squares is inf past the float range; the tied-down path
+    itself does not leave the kernel, only its sup."""
 
     threshold: np.ndarray  # (R,)
     kept: np.ndarray  # (R, n)
@@ -168,19 +169,12 @@ class _Rows(NamedTuple):
     mean: np.ndarray  # (R,) over all n slots
     exponent: np.ndarray  # (R,) e with 2**(e-1) <= threshold < 2**e
     scaled_sum_sq: np.ndarray  # (R,) centred sum of squares * 2**(-2e)
-    points: np.ndarray  # (R, n + 1) tied-down path of the trimmed values
-    scaled_sup: np.ndarray  # (R,) sup of the path * 2**-e
-    argmax: np.ndarray  # (R,)
+    scaled_sup: np.ndarray  # (R,) sup of the tied-down path of the values * 2**-e
 
     @property
     def centered_sum_sq(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.ldexp(self.scaled_sum_sq, 2 * self.exponent)
-
-    @property
-    def sup(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.ldexp(self.scaled_sup, self.exponent)
 
     def undefined(self) -> np.ndarray:
         """Rows whose trimmed sum of squares is zero (identical retained
@@ -200,13 +194,11 @@ class _Rows(NamedTuple):
         threshold, mean = float(self.threshold[i]), float(self.mean[i])
         return TrimmedSample(source, d, threshold, self.kept[i], mean, css, sigma_hat)
 
-    def path(self, i: int = 0) -> CusumPath:
-        return CusumPath(self.points[i], float(self.sup[i]), int(self.argmax[i]))
-
 
 def _trim_rows(x: np.ndarray, d: int) -> _Rows:
     """The trimmed-CUSUM kernel: trim each row of an (R, n) block at its d-th
-    largest modulus, centre at the trimmed mean, and build the tied-down path.
+    largest modulus, centre at the trimmed mean, and take the sup of the
+    tied-down path.
 
     The values are scaled by 2**-e (e the threshold's binary exponent) before
     squaring, a row whose unscaled sum overflows is averaged at that scale, and
@@ -224,9 +216,8 @@ def _trim_rows(x: np.ndarray, d: int) -> _Rows:
         mean[big] = np.ldexp(centered[big].sum(axis=1) / n, exponent[big])
         centered -= np.ldexp(mean, -exponent)[:, None]
         scaled_sum_sq = np.square(centered, out=centered).sum(axis=1)
-        del centered  # freed before the path step
-    points, scaled_sup, argmax = _path_sup(values, exponent)
-    return _Rows(threshold, kept, values, mean, exponent, scaled_sum_sq, points, scaled_sup, argmax)
+    scaled_sup = _path_sup(values, exponent, out=centered)  # the squares are spent
+    return _Rows(threshold, kept, values, mean, exponent, scaled_sum_sq, scaled_sup)
 
 
 def _trim_one(sample, d: int) -> tuple[np.ndarray, _Rows]:
@@ -273,7 +264,10 @@ def trim(sample, d: int) -> TrimmedSample:
 def cusum_path(terms) -> CusumPath:
     """Tied-down partial sums of the given terms.
 
-    points[0] and points[n] are exactly zero.  A length-one input yields the
+    points[0] and points[n] are exactly zero, so argmax_k, the first k
+    maximizing |points[k]|, is interior, or 0 on a flat path.  Where several
+    points pass the float range, it is that of the path summed at 2**-e (e
+    the exponent of the largest term).  A length-one input yields the
     two-point zero path.
     """
     y = np.asarray(terms, dtype=float)
@@ -281,8 +275,15 @@ def cusum_path(terms) -> CusumPath:
         raise ValueError("terms must be a nonempty one-dimensional vector")
     if not np.all(np.isfinite(y)):
         raise ValueError("terms must be finite")
-    points, _, argmax = _path_sup(y[None, :], np.frexp(np.abs(y).max(keepdims=True))[1])
-    return CusumPath(points[0], float(np.abs(points[0, argmax[0]])), int(argmax[0]))
+    e = np.frexp(np.abs(y).max(keepdims=True))[1]
+    points = np.zeros((1, y.size + 1))
+    _path_sup(y[None, :], e, points)
+    k = int(np.abs(points[0]).argmax())
+    if not np.isfinite(points[0, k]):
+        scaled = np.zeros_like(points)
+        _path_sup(np.ldexp(y, -e)[None, :], np.zeros_like(e), scaled)
+        k = int(np.abs(scaled[0]).argmax())
+    return CusumPath(points[0], float(np.abs(points[0, k])), k)
 
 
 def test_statistic(sample, d: int) -> float:

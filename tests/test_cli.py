@@ -144,6 +144,8 @@ def test_test_subcommand_is_scale_invariant_at_1e160(capsys, tmp_path):
         assert scaled[key] == pytest.approx(base[key], rel=1e-5), key
     assert scaled["sigma_hat"] == pytest.approx(base["sigma_hat"] * 1e160, rel=1e-5)
     assert scaled["reject"] == base["reject"]
+    for key in ("change_at", "degenerate_path"):
+        assert scaled[key] == base[key], key
 
 
 def test_test_subcommand_where_the_trimmed_values_sum_past_the_float_range(capsys, tmp_path):
@@ -160,6 +162,21 @@ def test_test_subcommand_where_the_trimmed_values_sum_past_the_float_range(capsy
     for key in ("statistic", "critical_value_resampled"):
         assert scaled[key] == pytest.approx(base[key], rel=1e-12), key
     assert scaled["sigma_hat"] == pytest.approx(base["sigma_hat"] * 1e308, rel=1e-12)
+    for key in ("change_at", "degenerate_path"):
+        assert scaled[key] == base[key], key
+
+
+def test_test_subcommand_locates_a_change_where_the_path_passes_the_float_range(
+    capsys, tmp_path
+):
+    # the path's points 2..6 are inf; the change is at its true peak, k = 4
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308\n" * 4 + "-1e308\n" * 4)
+    code, out, _ = run_cli(capsys, "test", "--input", str(path), "--d", "2")
+    assert code == 1
+    report = _strict_json(out)
+    assert (report["change_at"], report["degenerate_path"]) == (4, False)
+    assert report["statistic"] == pytest.approx(math.sqrt(2.0), rel=1e-5)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from trimcusum import (
     truncated_sum_scale,
     two_sided_pareto,
 )
-from trimcusum.heavy_tail_models import _quantile_unchecked
+from trimcusum.heavy_tail_models import _quantile_unchecked, _truncated_first_moment
 
 ALL_MODELS = [
     two_sided_pareto(1.5),
@@ -280,6 +280,32 @@ def test_mean_shift_alpha_one_branch():
     if t < ref:
         expected = -expected
     assert mean_shift(one, t, d, n) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "alpha,t,expected",
+    [
+        # a/(1-a) * ((1+t)**(1-a) - 1) + (1+t)**-a - 1, in 50-digit arithmetic
+        # at the binary value of each alpha, rounded to the nearest double
+        (1 + 1e-13, 0.5, 0.07213177477483634),
+        (1 - 1e-13, 0.5, 0.07213177477482575),
+        (1 + 1e-8, 0.5, 0.07213177530437163),
+        (1 - 1e-8, 0.5, 0.07213177424529045),
+        (0.5, 0.5, 0.04124145231931508),
+        (1.5, 0.5, 0.09484131116863925),
+        (1 + 1e-13, 100.0, 3.6250215069396616),
+        (1 - 1e-13, 100.0, 3.6250215069408775),
+        (1 + 1e-8, 100.0, 3.625021446137846),
+        (1 - 1e-8, 100.0, 3.6250215677426945),
+        (0.5, 100.0, 8.14937934014189),
+        (1.5, 100.0, 1.7024740282738449),
+    ],
+)
+def test_truncated_first_moment_keeps_its_digits_near_alpha_one(alpha, t, expected):
+    # the one-sided family's E[X 1{X <= t}]; its power-difference form lost up
+    # to 1e-3 of it next to alpha = 1
+    value = float(_truncated_first_moment(one_sided_pareto(alpha), np.asarray(t)))
+    assert abs(value - expected) <= 4 * np.finfo(float).eps * expected
 
 
 def test_truncated_sum_scale_hand_value():

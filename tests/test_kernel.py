@@ -60,8 +60,7 @@ def check_rows(x, d):
         assert rows.threshold[i] == threshold
         assert_array_equal(rows.values[i], y)
         assert rows.mean[i] == mean
-        assert_array_equal(rows.points[i], points)
-        assert (rows.sup[i], rows.argmax[i]) == (sup, k)
+        assert np.ldexp(rows.scaled_sup[i], rows.exponent[i]) == sup
         path = cusum_path(y)
         assert_array_equal(path.points, points)
         assert (path.sup_abs, path.argmax_k) == (sup, k)

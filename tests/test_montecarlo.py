@@ -253,9 +253,9 @@ def test_table_raises_the_error_of_the_first_n_in_list_order(workers, n_list):
 
 
 def test_table_memory_stays_within_a_few_sample_blocks():
-    # a table keeps one 64 KiB staging block per smaller n, not a whole job's
-    # draws at the largest n (81 x 800 doubles here, about 3 MiB with its
-    # temporaries)
+    # a table job draws its replicates once, at the largest n, into one array
+    # (80 x 800 doubles here, 500 KB), and each n sends it to the kernel in
+    # slices of one sample block, not whole (about 3 MiB with its temporaries)
     spec = SimulationSpec(MODEL, 100, 2000)
     n_list = [100, 200, 400, 800]
     critical_value_table(spec, n_list)  # warm-up
@@ -272,6 +272,19 @@ def test_zero_variance_replicate_is_named():
     x = np.vstack([np.arange(10.0), np.full(10, 2.0)])
     with pytest.raises(DegenerateSampleError, match=r"replicate 8 \(master seed 5, n=10, d=2\)"):
         _statistics(x, 2, seed=5, start=7)
+
+
+def test_power_error_names_the_shift_and_prints_a_plain_float():
+    # at alpha = 0.01 draws overflow to inf, so replicate 4 has no statistic at the
+    # first shift; the message must read the same under numpy 1.x and 2.x
+    base = SimulationSpec(two_sided_pareto(0.01), 200, 500, d=2)
+    spec = PowerSpec(base, change_at=100, critical_value=sup_bridge_quantile(0.95))
+    with pytest.raises(DegenerateSampleError) as err:
+        power_curve(spec)
+    message = str(err.value)
+    assert "replicate 4 (master seed 0, n=200, d=2)" in message
+    assert "sum of squares nan" in message
+    assert "shift -3.0" in message
 
 
 def test_null_statistics_deterministic_and_batch_invariant():

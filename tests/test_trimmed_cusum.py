@@ -273,6 +273,15 @@ def test_one_path_helpers_past_the_float_range():
         for b in range(plan.replications):
             unit = resampled_path(x, plan, b).sup_abs
             assert resampled_path(big, plan, b).sup_abs == math.ldexp(unit, 1023)
+
+
+def test_cusum_path_argmax_where_several_points_pass_the_float_range():
+    # points 2, 3 and 4 are inf; the first argmax is the true peak, k = 3
+    a = 1e308
+    path = cusum_path([a, a, a, -a, -a, -a])
+    assert_array_equal(path.points, [0.0, a, np.inf, np.inf, np.inf, a, 0.0])
+    assert (path.sup_abs, path.argmax_k) == (np.inf, 3)
+    assert locate_change(path) == (3, False)
     assert trim_trunc_gap([1e308, 1e308, 1.7e308, 1.0], 2, 2.0) == 1e308
 
 
