@@ -73,11 +73,15 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return gen
 
 
-def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """n uniforms from the given substream, nudged off 0 so (0,1) maps are safe."""
+def stream_uniforms(seed: int, stream: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """n uniforms from the given substream, nudged off 0 so (0,1) maps are safe.
+
+    With `out`, a float64 array of shape (n,), the uniforms are written into
+    it and it is returned.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n >= STREAM_STRIDE:
         raise ValueError("draw count exceeds the per-stream reservation")
-    u = stream_generator(seed, stream).random(n)
+    u = stream_generator(seed, stream).random(n, out=out)
     return np.maximum(u, 2.0 ** -53, out=u)

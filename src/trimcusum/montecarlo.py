@@ -173,11 +173,11 @@ def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
 
 def _sample_block(model: TailModel, n: int, seed: int, start: int, count: int) -> np.ndarray:
     """One job's sample block: row i holds the uniforms of substream start + i,
-    exactly as sample_substream draws them, and the whole block goes through
-    the inverse CDF in one call."""
+    exactly as sample_substream draws them, drawn straight into the block, and
+    the whole block goes through the inverse CDF in one call."""
     u = np.empty((count, n))
     for i in range(count):
-        u[i] = stream_uniforms(seed, start + i, n)
+        stream_uniforms(seed, start + i, n, out=u[i])
     return _quantile_unchecked(model, u)
 
 

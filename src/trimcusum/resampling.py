@@ -7,12 +7,16 @@ take an empirical quantile over B replicates.  Replicate b draws from
 substream b of the plan's seed, so replicates are independent and the whole
 procedure is reproducible regardless of evaluation order.
 
-Replicate b's draw is exactly numpy's: ``Generator.integers(0, n, size=m)``
-(with replacement) or ``Generator.permutation(n)[:m]`` (without) on stream b.
-The critical value works through the replicates in blocks of about 64 KiB of
-draws.  A bootstrap block takes each replicate's raw Philox words and applies
-numpy's own bounded-integer rule to the whole block at once; then one gather
-and one path step serve every row of the block.
+Replicate b's draw is exactly numpy's: ``x[Generator.integers(0, n, size=m)]``
+(with replacement) or ``x[Generator.permutation(n)[:m]]`` (without) on stream
+b.  The critical value works through the replicates in blocks of about 64 KiB
+of drawn values, and one path step serves every row of a block.  A bootstrap
+block takes each replicate's raw Philox words, applies numpy's own
+bounded-integer rule to the whole block at once and gathers the values in one
+call.  A permutation block copies x into every row and shuffles each row in
+place on its stream: ``permutation(n)`` is the same shuffle applied to
+``arange(n)``, so the shuffled row is the permuted sample without an index
+array or a gather.
 """
 
 from __future__ import annotations
@@ -41,11 +45,12 @@ __all__ = [
 WITH_REPLACEMENT = "with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
 
-# Draws per block pushed through the path step in one call: enough rows to
-# amortize numpy's per-call overhead, and 64 KiB of doubles, so that the
-# block's temporaries (raw words, indices, draws, path) stay in L2 cache and
-# under glibc's 128 KiB mmap threshold: freed blocks come back from the heap
-# instead of costing fresh page faults.  montecarlo's blocks are the same size.
+# Drawn values per block pushed through the path step in one call: enough rows
+# to amortize numpy's per-call overhead, and 64 KiB of doubles, so that the
+# block's buffers and temporaries (raw words, indices, draws, path) stay in L2
+# cache and under glibc's 128 KiB mmap threshold: freed blocks come back from
+# the heap instead of costing fresh page faults.  montecarlo's blocks are the
+# same size.
 _BLOCK_ELEMS = 1 << 13
 
 
@@ -124,18 +129,15 @@ def _check_size(plan: ResamplePlan, n: int) -> None:
 
 
 def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
-    """The replicate's m indices into a sample of size n, drawn by numpy on
-    the replicate's stream."""
-    rng = stream_generator(plan.seed, replicate_index)
-    if plan.mode == WITH_REPLACEMENT:
-        return rng.integers(0, n, size=plan.m)
-    return rng.permutation(n)[: plan.m]
+    """The replicate's m bootstrap indices into a sample of size n, drawn by
+    numpy on the replicate's stream."""
+    return stream_generator(plan.seed, replicate_index).integers(0, n, size=plan.m)
 
 
 def _indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
-    """The (stop - start, m) draw indices of replicates start..stop-1: row
-    b - start is exactly _numpy_draw(plan, n, b)."""
-    if plan.mode == WITH_REPLACEMENT and n <= 1 << 32:
+    """The (stop - start, m) bootstrap indices of replicates start..stop-1:
+    row b - start is exactly _numpy_draw(plan, n, b)."""
+    if n <= 1 << 32:
         return _bootstrap_indices(plan, n, start, stop)
     out = np.empty((stop - start, plan.m), dtype=np.intp)
     for row in range(stop - start):
@@ -175,6 +177,36 @@ def _bootstrap_indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.
     return idx.view(np.int64)  # every index is below 2**32
 
 
+def _block_width(plan: ResamplePlan, n: int) -> int:
+    """Values a replicate's row of a draw block holds: a shuffled row is the
+    whole sample, of which the first m are the draw; a bootstrap row is the
+    draw."""
+    return n if plan.mode == WITHOUT_REPLACEMENT else plan.m
+
+
+def _draw_block(x: np.ndarray, plan: ResamplePlan, start: int, stop: int,
+                out: np.ndarray) -> np.ndarray:
+    """The drawn values of replicates start..stop-1, written into the first
+    stop - start rows of `out` (_block_width(plan, x.size) columns) and
+    returned as a (stop - start, m) view.
+
+    A permutation row is x shuffled in place on the replicate's stream, of
+    which the view keeps the first m columns: numpy's permutation(n) is
+    arange(n) put through the same shuffle, which draws one bounded integer
+    per position whatever the dtype, so the row is x[permutation(n)] exactly.
+    A bootstrap row gathers x at the replicate's indices.
+    """
+    block = out[: stop - start]
+    if plan.mode == WITH_REPLACEMENT:
+        # every index is in range; the default mode="raise" would gather
+        # through a temporary buffer instead of straight into the block
+        return np.take(x, _indices(plan, x.size, start, stop), out=block, mode="clip")
+    block[:] = x
+    for row in range(stop - start):
+        stream_generator(plan.seed, start + row).shuffle(block[row])
+    return block[:, : plan.m]
+
+
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
     """CUSUM path of one resample; deterministic in (x, plan, replicate_index)."""
     arr = np.asarray(x, dtype=float)
@@ -185,7 +217,8 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
     _check_size(plan, arr.size)
-    return cusum_path(arr[_indices(plan, arr.size, replicate_index, replicate_index + 1)[0]])
+    out = np.empty((1, _block_width(plan, arr.size)))
+    return cusum_path(_draw_block(arr, plan, replicate_index, replicate_index + 1, out)[0])
 
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
@@ -195,8 +228,10 @@ def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValu
 
 def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate:
     """resampled_critical_value of the kernel's one-row output.  Replicate b
-    draws from its own stream; each block of replicates is drawn, gathered and
-    reduced to its row sups in a few numpy calls."""
+    draws from its own stream.  Each block of replicates is drawn into one
+    reused buffer (_draw_block) and reduced to its row sups in a few numpy
+    calls; a permutation block with m < n is summed from its first m columns
+    into a second, contiguous buffer, as _tie_down needs a whole block."""
     if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
     # At the kernel's scale 2**-e the trimmed values and their mean lie below
@@ -207,12 +242,14 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     _check_size(plan, x.size)
     scale = math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(plan.m)
     b_total = plan.replications
-    rows = max(1, _BLOCK_ELEMS // plan.m)
+    width = _block_width(plan, x.size)
+    rows = max(1, _BLOCK_ELEMS // width)
+    drawn = np.empty((min(rows, b_total), width))
+    sums = drawn if width == plan.m else np.empty((drawn.shape[0], plan.m))
     stats = np.empty(b_total)
     for start in range(0, b_total, rows):
         stop = min(start + rows, b_total)
-        y = x[_indices(plan, x.size, start, stop)]
-        np.cumsum(y, axis=1, out=y)
+        y = np.cumsum(_draw_block(x, plan, start, stop, drawn), axis=1, out=sums[: stop - start])
         path = np.abs(_tie_down(y, plan.m), out=y)
         stats[start:stop] = path.max(axis=1) / scale
     value, standard_error = _quantile_and_error(stats, plan.level)

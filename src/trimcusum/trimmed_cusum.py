@@ -14,6 +14,7 @@ fallback is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -123,12 +124,20 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return threshold, absx <= threshold[:, None]
 
 
+@functools.lru_cache(maxsize=32)
+def _tie_down_weights(n: int, c: int) -> np.ndarray:
+    """k/n for k = n - c + 1..n, read-only, as _tie_down uses it."""
+    weights = np.arange(n + 1 - c, n + 1) / n
+    weights.flags.writeable = False
+    return weights
+
+
 def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
     """S_k - S_n * (k/n), in place, on each row of partial sums of n terms.
     The c columns of sums hold S_k for k = n - c + 1..n: c = n + 1 with a
     leading S_0, or c = n.  Callers pass a whole contiguous block, not a
     column slice, which numpy would loop over row by row."""
-    sums -= sums[:, -1:] * (np.arange(n + 1 - sums.shape[1], n + 1) / n)
+    sums -= sums[:, -1:] * _tie_down_weights(n, sums.shape[1])
     return sums
 
 
@@ -183,7 +192,9 @@ class _Rows(NamedTuple):
 
     def statistics(self) -> np.ndarray:
         """sup / sqrt(centered_sum_sq) = sup / (sigma_hat * sqrt(n)) per row."""
-        if self.undefined().size:
+        ss = self.scaled_sum_sq
+        # a NaN fails both comparisons
+        if ss.size and not (0.0 < ss.min() and ss.max() < math.inf):
             raise DegenerateSampleError(
                 "the trimmed sum of squares is zero (identical retained values) or not finite")
         return self.scaled_sup / np.sqrt(self.scaled_sum_sq)
@@ -213,7 +224,8 @@ def _trim_rows(x: np.ndarray, d: int) -> _Rows:
         centered = np.ldexp(values, -exponent[:, None])
         mean = values.sum(axis=1) / n
         big = ~np.isfinite(mean)
-        mean[big] = np.ldexp(centered[big].sum(axis=1) / n, exponent[big])
+        if big.any():
+            mean[big] = np.ldexp(centered[big].sum(axis=1) / n, exponent[big])
         centered -= np.ldexp(mean, -exponent)[:, None]
         scaled_sum_sq = np.square(centered, out=centered).sum(axis=1)
     scaled_sup = _path_sup(values, exponent, out=centered)  # the squares are spent

@@ -18,6 +18,7 @@ from numpy.testing import assert_array_equal
 import trimcusum.resampling as resampling
 from trimcusum import (
     WITH_REPLACEMENT,
+    DegenerateSampleError,
     WITHOUT_REPLACEMENT,
     ResamplePlan,
     cusum_path,
@@ -119,6 +120,22 @@ def test_kernel_rows_where_the_squares_underflow():
         assert_array_equal(rows.statistics(), [trimmed_statistic(v, d) for v in x])
 
 
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+def test_statistics_raise_on_a_row_without_a_statistic(bad):
+    rows = _trim_rows(np.random.default_rng(1).standard_cauchy((3, 20)), 2)
+    assert rows.statistics().shape == (3,)
+    ss = rows.scaled_sum_sq.copy()
+    ss[1] = bad
+    with pytest.raises(DegenerateSampleError):
+        rows._replace(scaled_sum_sq=ss).statistics()
+    assert rows._replace(scaled_sum_sq=ss).undefined().tolist() == [1]
+
+
+def test_statistics_of_an_empty_block_are_empty():
+    rows = _trim_rows(np.empty((0, 20)), 2)
+    assert rows.statistics().shape == (0,)
+
+
 def reference_critical_value(sample, d, plan):
     ts = trim(sample, d)
     x = trimmed_centered(sample, d)
@@ -136,14 +153,18 @@ def reference_critical_value(sample, d, plan):
 
 @pytest.mark.parametrize("block_rows", [None, 7, 64])
 @pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
-@pytest.mark.parametrize("n,m", [(37, 37), (200, 71), (200, 1), (1000, 1000)])
+@pytest.mark.parametrize(
+    "n,m", [(37, 37), (200, 71), (200, 1), (1000, 1000), (1000, 333), (53, 17)]
+)
 def test_blocked_resampling_matches_replicate_loop(monkeypatch, block_rows, mode, n, m):
+    plan = ResamplePlan(m=m, mode=mode, replications=150, level=0.9, seed=4)
+    # a block row holds n values in permutation mode and m in bootstrap mode
+    width = resampling._block_width(plan, n)
     if block_rows is not None:
-        monkeypatch.setattr(resampling, "_BLOCK_ELEMS", block_rows * m)
+        monkeypatch.setattr(resampling, "_BLOCK_ELEMS", block_rows * width)
     sample = sample_iid(two_sided_pareto(1.5), n, seed=n + m)
     d = 3
-    plan = ResamplePlan(m=m, mode=mode, replications=150, level=0.9, seed=4)
     # 150 replicates are never a whole number of blocks at these sizes
-    assert plan.replications % (resampling._BLOCK_ELEMS // m) != 0
+    assert plan.replications % (resampling._BLOCK_ELEMS // width) != 0
     est = resampled_critical_value(sample, d, plan)
     assert (est.value, est.standard_error) == reference_critical_value(sample, d, plan)

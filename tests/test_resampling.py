@@ -204,13 +204,31 @@ WIDE_N = (2**31 + 1, 3 * 2**30, 2**32, 2**32 + 1)
 @example(seed=3, start=0, rows=3, n=5, m=5, mode=WITHOUT_REPLACEMENT)
 def test_indices_are_numpys_draws_bit_for_bit(seed, start, rows, n, m, mode):
     if mode == WITHOUT_REPLACEMENT:
-        n = min(n, 3000)  # permutation(n) allocates n indices
+        n = min(n, 3000)  # each shuffled row holds n values
         m = min(m, n)
     plan = ResamplePlan(m=m, mode=mode, replications=1, seed=seed)
-    got = resampling._indices(plan, n, start, start + rows)
+    if mode == WITH_REPLACEMENT:
+        got = resampling._indices(plan, n, start, start + rows)
+    else:
+        # shuffled copies of 0..n-1 are the permuted indices themselves; the
+        # block buffer has a spare row the draw must not need
+        x = np.arange(n, dtype=float)
+        got = resampling._draw_block(x, plan, start, start + rows, np.empty((rows + 1, n)))
     assert got.shape == (rows, m)
     for row in range(rows):
         assert_array_equal(got[row], numpy_draw(seed, start + row, n, m, mode))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
+def test_permutation_path_is_the_path_of_numpys_draw(n):
+    x = trimmed_centered(sample_iid(two_sided_pareto(1.5), max(n, 2), seed=n), 1)[:n]
+    for m in sorted({1, max(1, n // 3), n}):
+        plan = ResamplePlan(m=m, mode=WITHOUT_REPLACEMENT, replications=40, seed=n + m)
+        for b in (0, 1, 39):
+            path = resampled_path(x, plan, b)
+            expected = cusum_path(x[numpy_draw(plan.seed, b, n, m, WITHOUT_REPLACEMENT)])
+            assert_array_equal(path.points, expected.points)
+            assert (path.sup_abs, path.argmax_k) == (expected.sup_abs, expected.argmax_k)
 
 
 def test_rows_short_of_accepted_candidates_are_drawn_by_numpy(monkeypatch):

@@ -43,6 +43,11 @@ def test_streams_match_a_new_generator_bit_for_bit(seeds, streams, n):
         for seed in seeds:
             expected = np.maximum(reference(seed, stream).random(n), 2.0 ** -53)
             assert_array_equal(stream_uniforms(seed, stream, n), expected)
+            # a row of a block, written in place
+            block = np.full((2, n), np.nan)
+            stream_uniforms(seed, stream, n, out=block[1])
+            assert_array_equal(block[1], expected)
+            assert np.isnan(block[0]).all()
     for stream in streams:
         for seed in seeds:
             assert_array_equal(
