@@ -6,11 +6,13 @@ at counter r * STREAM_STRIDE of that key, so replicate streams never overlap
 and results do not depend on the order or degree of parallelism with which
 replicates are evaluated.
 
-Each thread keeps one Philox bit generator and moves it to the addressed
-stream by setting its key and counter, which gives the same bits as a newly
-built ``Philox(key=seed, counter=stream * STREAM_STRIDE)`` at a fraction of
-the cost.  The shared generator is only valid until the next call of this
-module on the same thread.
+Each thread keeps one Philox bit generator and one state dict for it, and
+moves the generator to the addressed stream by rewriting the dict's key and
+counter and setting it as the generator's state, which gives the same bits
+as a newly built ``Philox(key=seed, counter=stream * STREAM_STRIDE)`` at a
+fraction of the cost.  The dict's buffers stay empty, so the next draw starts
+at the counter.  The shared generator is only valid until the next call of
+this module on the same thread.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["SEED_LIMIT", "STREAM_STRIDE", "stream_generator", "stream_uniforms"]
+__all__ = ["SEED_LIMIT", "STREAM_STRIDE", "U_FLOOR", "stream_generator", "stream_uniforms"]
 
 _WORD = (1 << 64) - 1
 
@@ -33,6 +35,10 @@ SEED_LIMIT = 1 << 128
 # 64-bit words, so a single stream can serve ~2**130 draws before touching its
 # neighbor; actual per-replicate consumption is bounded by the sample size.
 STREAM_STRIDE = 1 << 128
+
+# Smallest uniform handed out: draws of 0 are raised to it, so that maps of
+# the open interval (0, 1) are safe.
+U_FLOOR = 2.0 ** -53
 
 _local = threading.local()
 
@@ -53,23 +59,28 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     `stream_uniforms` on the same thread moves it to another stream, so draw
     from it before then.
     """
-    seed = _check_index(seed, "seed")
-    stream = _check_index(stream, "stream index")
+    # a Python int in range passes at once; anything else goes through
+    # _check_index, which converts it or raises
+    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
+        seed = _check_index(seed, "seed")
+    if type(stream) is not int or not 0 <= stream < SEED_LIMIT:
+        stream = _check_index(stream, "stream index")
     try:
-        gen = _local.generator
+        gen, state = _local.generator, _local.state
     except AttributeError:
         gen = _local.generator = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": (0, 0, stream & _WORD, stream >> 64),
-            "key": (seed & _WORD, seed >> 64),
-        },
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # empty buffer: the next draw starts at the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        state = _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # empty buffer: the next draw starts at the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    words = state["state"]
+    words["counter"] = (0, 0, stream & _WORD, stream >> 64)
+    words["key"] = (seed & _WORD, seed >> 64)
+    gen.bit_generator.state = state
     return gen
 
 
@@ -84,4 +95,4 @@ def stream_uniforms(seed: int, stream: int, n: int, out: np.ndarray | None = Non
     if n >= STREAM_STRIDE:
         raise ValueError("draw count exceeds the per-stream reservation")
     u = stream_generator(seed, stream).random(n, out=out)
-    return np.maximum(u, 2.0 ** -53, out=u)
+    return np.maximum(u, U_FLOOR, out=u)

@@ -227,19 +227,27 @@ def density(model: TailModel, t):
     return _ret(out, scalar)
 
 
-def _truncated_first_moment(model: TailModel, t: np.ndarray) -> np.ndarray:
-    """E[X * 1{|X| <= t}] for t >= 0, in closed form."""
+def _first_moment_difference(model: TailModel, t: np.ndarray, c) -> np.ndarray:
+    """E[X * 1{|X| <= t}] - E[X * 1{|X| <= c}] for t, c >= 0, in closed form;
+    at c = 0 it is the truncated first moment itself."""
     if model.family == GAUSSIAN:
         return np.zeros_like(t)
     a = model.alpha
-    # One-sided building block: integral of x*a*(1+x)**-(a+1) over (0, t],
-    # a/(1-a) * ((1+t)**(1-a) - 1) + (1+t)**-a - 1.  Written with expm1 of
-    # L = log(1+t), the first term keeps its digits as a -> 1.
+    # One-sided building block: g(t) = integral of x*a*(1+x)**-(a+1) over
+    # (0, t], a/(1-a) * ((1+t)**(1-a) - 1) + (1+t)**-a - 1.  The difference
+    # g(t) - g(c) is written directly, with L = log((1+t)/(1+c)) =
+    # log1p((t-c)/(1+c)) and (1+t)**s - (1+c)**s = (1+c)**s * expm1(s*L), so
+    # that it keeps its digits as t -> c, and the first term as a -> 1.
+    log_ratio = np.log1p((t - c) / (1.0 + c))
     if a == 1.0:
-        g = np.log1p(t) + 1.0 / (1.0 + t) - 1.0
+        # 1/(1+t) - 1/(1+c) = -((t-c)/(1+c)) / (1+t), with t capped at the
+        # largest double, where the term is about -1/(1+c): at t = inf the sum
+        # is the log's inf, not inf - inf/inf
+        capped = np.minimum(t, np.finfo(float).max)
+        g = log_ratio - (capped - c) / (1.0 + c) / (1.0 + capped)
     else:
-        log_t = np.log1p(t)
-        g = a * np.expm1((1.0 - a) * log_t) / (1.0 - a) + np.expm1(-a * log_t)
+        g = (a * ((1.0 + c) ** (1.0 - a) * np.expm1((1.0 - a) * log_ratio)) / (1.0 - a)
+             + (1.0 + c) ** -a * np.expm1(-a * log_ratio))
     # The left tail mirrors the right with weight q, so it contributes -q*g.
     return (model.p - model.q) * g
 
@@ -248,18 +256,15 @@ def mean_shift(model: TailModel, t, d: int, n: int):
     """Expected mean shift between truncation at t and at the t of rank d/n.
 
     Returns E[X*1{|X| <= t}] - E[X*1{|X| <= c}] where c is the deterministic
-    threshold with P{|X| > c} = d/n.  Vanishes at t = c; for asymmetric laws it
-    is the random centering that separates trimmed from truncated partial sums.
+    threshold with P{|X| > c} = d/n.  Vanishes at t = c, and keeps its
+    relative accuracy next to it; for asymmetric laws it is the random
+    centering that separates trimmed from truncated partial sums.
     """
     _check_depth(d, n)
     arr, scalar = _prep(t)
     if not np.all(arr >= 0.0):
         raise ValueError("t must be nonnegative")
-    ref = tail_survival_inv(model, d / n)
-    out = _truncated_first_moment(model, arr) - _truncated_first_moment(
-        model, np.asarray(ref, dtype=float)
-    )
-    return _ret(out, scalar)
+    return _ret(_first_moment_difference(model, arr, tail_survival_inv(model, d / n)), scalar)
 
 
 def truncated_sum_scale(model: TailModel, d: int, n: int) -> float:

@@ -31,7 +31,7 @@ from .heavy_tail_models import (
     tail_survival_inv,
     truncated_sum_scale,
 )
-from ._streams import SEED_LIMIT, stream_uniforms
+from ._streams import SEED_LIMIT, U_FLOOR, stream_generator
 from .limit_dist import sup_bridge_quantile
 from .resampling import _sorted_quantile_and_error
 from .trimmed_cusum import (
@@ -173,11 +173,13 @@ def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
 
 def _sample_block(model: TailModel, n: int, seed: int, start: int, count: int) -> np.ndarray:
     """One job's sample block: row i holds the uniforms of substream start + i,
-    exactly as sample_substream draws them, drawn straight into the block, and
-    the whole block goes through the inverse CDF in one call."""
+    exactly as sample_substream draws them (stream_uniforms), drawn straight
+    into the block and raised to U_FLOOR once for the whole block, and the
+    whole block goes through the inverse CDF in one call."""
     u = np.empty((count, n))
     for i in range(count):
-        stream_uniforms(seed, start + i, n, out=u[i])
+        stream_generator(seed, start + i).random(n, out=u[i])
+    np.maximum(u, U_FLOOR, out=u)
     return _quantile_unchecked(model, u)
 
 

@@ -10,12 +10,17 @@ procedure is reproducible regardless of evaluation order.
 Replicate b's draw is exactly numpy's: ``x[Generator.integers(0, n, size=m)]``
 (with replacement) or ``x[Generator.permutation(n)[:m]]`` (without) on stream
 b.  The critical value works through the replicates in blocks of about 64 KiB
-of drawn values, and one path step serves every row of a block.  A bootstrap
-block takes each replicate's raw Philox words, applies numpy's own
-bounded-integer rule to the whole block at once and gathers the values in one
-call.  A permutation block copies x into every row and shuffles each row in
-place on its stream: ``permutation(n)`` is the same shuffle applied to
-``arange(n)``, so the shuffled row is the permuted sample without an index
+of drawn values, and one path step serves every row of a block.  A block
+holds its replicates in pairs, replicates 2i and 2i + 1 as the real and
+imaginary lanes of one complex128 row, so that one complex cumulative sum
+runs two independent add chains per pass; each lane's sums are the same IEEE
+adds in the same order as a real row's, so the layout changes no bit.  A
+bootstrap block takes each replicate's raw Philox words, applies numpy's own
+bounded-integer rule to the whole block at once, writing each replicate's
+indices straight into its lane, and gathers the values in one call.  A
+permutation block copies x into every lane and shuffles each lane in place
+on its stream: ``permutation(n)`` is the same shuffle applied to
+``arange(n)``, so the shuffled lane is the permuted sample without an index
 array or a gather.
 """
 
@@ -135,13 +140,17 @@ def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
 
 
 def _indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
-    """The (stop - start, m) bootstrap indices of replicates start..stop-1:
-    row b - start is exactly _numpy_draw(plan, n, b)."""
+    """The bootstrap indices of replicates start..stop-1 in pairs, an
+    (h, m, 2) array with h = ceil((stop - start) / 2): lane i % 2 of pair
+    i // 2 is exactly _numpy_draw(plan, n, start + i).  When stop - start is
+    odd, the last pair's second lane holds indices in [0, n) that belong to
+    no replicate."""
+    count = stop - start
     if n <= 1 << 32:
         return _bootstrap_indices(plan, n, start, stop)
-    out = np.empty((stop - start, plan.m), dtype=np.intp)
-    for row in range(stop - start):
-        out[row] = _numpy_draw(plan, n, start + row)
+    out = np.zeros(((count + 1) // 2, plan.m, 2), dtype=np.intp)
+    for row in range(count):
+        out[row // 2, :, row % 2] = _numpy_draw(plan, n, start + row)
     return out
 
 
@@ -154,27 +163,31 @@ def _bootstrap_indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.
     prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  Acceptance
     depends on c alone, so a replicate's draws are the first m accepted
     candidates of its stream, and one pass over the whole block applies the
-    rule.  A row gets m candidates and, as spares, twice the rejections
-    expected among them (fewer than m * n / 2**32) plus 16; a row that still
-    comes up short is drawn by numpy itself.
+    rule, writing each row's indices straight into its lane.  A row gets m
+    candidates and, as spares, twice the rejections expected among them (fewer
+    than m * n / 2**32) plus 16; a row that still comes up short is drawn by
+    numpy itself.
     """
-    m = plan.m
+    m, count = plan.m, stop - start
+    pairs = (count + 1) // 2
     width = (m + 16 + 2 * (m * n >> 32) + 1) // 2  # two candidates per word
-    words = np.empty((stop - start, width), dtype=np.uint64)
-    for row in range(stop - start):
+    words = np.empty((2 * pairs, width), dtype=np.uint64)
+    for row in range(count):
         words[row] = stream_generator(plan.seed, start + row).bit_generator.random_raw(width)
+    words[count:] = 0  # the unused lane of an odd block: index 0
     prod = words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
     prod *= np.uint64(n)
-    idx = prod[:, :m] >> np.uint64(32)
+    idx = np.empty((pairs, m, 2), dtype=np.uint64)
+    np.right_shift(prod[:, :m].reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
     threshold = (2**32 - n) % n
-    low = prod.astype(np.uint32)  # prod mod 2**32
-    if low[:, :m].min() < threshold:  # a rejection, rare unless n is near 2**32
-        for row in np.flatnonzero((low[:, :m] < threshold).any(axis=1)):
-            accepted = prod[row, low[row] >= threshold][:m] >> np.uint64(32)
+    low = prod[:count, :m].astype(np.uint32)  # prod mod 2**32
+    if np.minimum.reduce(low, axis=None) < threshold:  # a rejection, rare unless n is near 2**32
+        for row in np.flatnonzero((low < threshold).any(axis=1)):
+            accepted = prod[row, prod[row].astype(np.uint32) >= threshold][:m] >> np.uint64(32)
             if accepted.size < m:
                 accepted = _numpy_draw(plan, n, start + row)
-            idx[row] = accepted
-    return idx.view(np.int64)  # every index is below 2**32
+            idx[row // 2, :, row % 2] = accepted
+    return idx.view(np.intp)  # every index is below 2**32
 
 
 def _block_width(plan: ResamplePlan, n: int) -> int:
@@ -184,27 +197,40 @@ def _block_width(plan: ResamplePlan, n: int) -> int:
     return n if plan.mode == WITHOUT_REPLACEMENT else plan.m
 
 
-def _draw_block(x: np.ndarray, plan: ResamplePlan, start: int, stop: int,
-                out: np.ndarray) -> np.ndarray:
-    """The drawn values of replicates start..stop-1, written into the first
-    stop - start rows of `out` (_block_width(plan, x.size) columns) and
-    returned as a (stop - start, m) view.
+def _draw_source(x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
+    """What _draw_pairs reads: x for a bootstrap, and x in both lanes of one
+    complex row, x + x*1j, for a permutation, so that a block is filled by
+    copying whole complex values."""
+    if plan.mode == WITH_REPLACEMENT:
+        return x
+    return np.repeat(x, 2).view(np.complex128)
 
-    A permutation row is x shuffled in place on the replicate's stream, of
-    which the view keeps the first m columns: numpy's permutation(n) is
-    arange(n) put through the same shuffle, which draws one bounded integer
-    per position whatever the dtype, so the row is x[permutation(n)] exactly.
-    A bootstrap row gathers x at the replicate's indices.
+
+def _draw_pairs(source: np.ndarray, plan: ResamplePlan, start: int, stop: int,
+                lanes: np.ndarray) -> None:
+    """The drawn values of replicates start..stop-1, written in pairs into
+    `lanes`, an (h, _block_width(plan, n), 2) buffer of at least
+    ceil((stop - start) / 2) pairs: replicate start + i is lane i % 2 of pair
+    i // 2, and its first m values are its draw.  `source` is
+    _draw_source(x, plan).
+
+    A permutation lane is x shuffled in place on the replicate's stream; numpy's
+    shuffle honours the lane's stride, and its permutation(n) is arange(n) put
+    through the same shuffle, which draws one bounded integer per position
+    whatever the dtype, so the lane is x[permutation(n)] exactly.  A bootstrap
+    lane gathers x at the replicate's indices.  When stop - start is odd the
+    last pair's second lane holds values of x that belong to no replicate.
     """
-    block = out[: stop - start]
+    count = stop - start
+    pairs = (count + 1) // 2
     if plan.mode == WITH_REPLACEMENT:
         # every index is in range; the default mode="raise" would gather
         # through a temporary buffer instead of straight into the block
-        return np.take(x, _indices(plan, x.size, start, stop), out=block, mode="clip")
-    block[:] = x
-    for row in range(stop - start):
-        stream_generator(plan.seed, start + row).shuffle(block[row])
-    return block[:, : plan.m]
+        np.take(source, _indices(plan, source.size, start, stop), out=lanes[:pairs], mode="clip")
+        return
+    lanes[:pairs].view(np.complex128)[..., 0] = source
+    for row in range(count):
+        stream_generator(plan.seed, start + row).shuffle(lanes[row // 2, :, row % 2])
 
 
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
@@ -217,8 +243,9 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
     _check_size(plan, arr.size)
-    out = np.empty((1, _block_width(plan, arr.size)))
-    return cusum_path(_draw_block(arr, plan, replicate_index, replicate_index + 1, out)[0])
+    lanes = np.empty((1, _block_width(plan, arr.size), 2))
+    _draw_pairs(_draw_source(arr, plan), plan, replicate_index, replicate_index + 1, lanes)
+    return cusum_path(lanes[0, : plan.m, 0])
 
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
@@ -228,10 +255,18 @@ def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValu
 
 def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate:
     """resampled_critical_value of the kernel's one-row output.  Replicate b
-    draws from its own stream.  Each block of replicates is drawn into one
-    reused buffer (_draw_block) and reduced to its row sups in a few numpy
-    calls; a permutation block with m < n is summed from its first m columns
-    into a second, contiguous buffer, as _tie_down needs a whole block."""
+    draws from its own stream.
+
+    Each block of an even number of replicates is drawn in pairs into one
+    reused buffer (_draw_pairs), each pair the real and imaginary lanes of
+    one complex128 row.  One complex cumulative sum then runs two independent
+    add chains per pass, with each lane's adds in the real sum's order, so the
+    sums are bit-identical to those of one replicate at a time.  They are
+    copied out lane by lane into a contiguous (rows, m) buffer, as _tie_down
+    needs a whole block, tied down, and reduced to their row sups.  An odd B
+    leaves the last pair's second lane unused: its values are finite and its
+    sup is never read.
+    """
     if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
     # At the kernel's scale 2**-e the trimmed values and their mean lie below
@@ -240,17 +275,23 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     e = trimmed.exponent[0]
     x = np.ldexp(trimmed.values[0], -e) - np.ldexp(trimmed.mean[0], -e)
     _check_size(plan, x.size)
-    scale = math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(plan.m)
-    b_total = plan.replications
+    m, b_total = plan.m, plan.replications
     width = _block_width(plan, x.size)
-    rows = max(1, _BLOCK_ELEMS // width)
-    drawn = np.empty((min(rows, b_total), width))
-    sums = drawn if width == plan.m else np.empty((drawn.shape[0], plan.m))
+    pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (b_total + 1) // 2)
+    lanes = np.empty((pairs, width, 2))
+    paired = lanes.view(np.complex128)[:, :m, 0]
+    sums = np.empty((2 * pairs, m))
+    source = _draw_source(x, plan)
     stats = np.empty(b_total)
-    for start in range(0, b_total, rows):
-        stop = min(start + rows, b_total)
-        y = np.cumsum(_draw_block(x, plan, start, stop, drawn), axis=1, out=sums[: stop - start])
-        path = np.abs(_tie_down(y, plan.m), out=y)
-        stats[start:stop] = path.max(axis=1) / scale
-    value, standard_error = _quantile_and_error(stats, plan.level)
+    for start in range(0, b_total, 2 * pairs):
+        stop = min(start + 2 * pairs, b_total)
+        h = (stop - start + 1) // 2
+        _draw_pairs(source, plan, start, stop, lanes)
+        np.add.accumulate(paired[:h], axis=1, out=paired[:h])
+        np.copyto(sums[: 2 * h].reshape(h, 2, m), lanes[:h, :m].transpose(0, 2, 1))
+        path = _tie_down(sums[: stop - start], m)
+        np.maximum.reduce(np.abs(path, out=path), axis=1, out=stats[start:stop])
+    stats /= math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(m)
+    stats.sort()
+    value, standard_error = _sorted_quantile_and_error(stats, plan.level)
     return CriticalValueEstimate(value, plan.level, b_total, standard_error)

@@ -119,8 +119,10 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[1]
     _check_depth(d, n)
     absx = np.abs(x)
+    part = absx.copy()
+    part.partition(n - d, axis=1)
     # a copy, so that the partitioned block is freed before the caller goes on
-    threshold = np.partition(absx, n - d, axis=1)[:, n - d].copy()
+    threshold = part[:, n - d].copy()
     return threshold, absx <= threshold[:, None]
 
 
@@ -152,11 +154,15 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     whose sup is not finite is summed again on y * 2**-exponent and its sums
     scaled back: where 2**exponent exceeds its max modulus, its scaled sup is
     finite and its sums are inf only past the float range.
+
+    Sums past the float range overflow, and a tie-down of inf sums is
+    invalid, so the caller must hold np.errstate(over="ignore",
+    invalid="ignore") around the call; _path_sup opens none of its own.
     """
     n = y.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(y, axis=1, out=out[:, out.shape[1] - n :])
-        sup = np.ldexp(np.abs(_tie_down(out, n)).max(axis=1), -exponent)
+    np.add.accumulate(y, axis=1, out=out[:, out.shape[1] - n :])
+    sup = np.ldexp(np.maximum.reduce(np.abs(_tie_down(out, n)), axis=1), -exponent)
+    if not np.isfinite(sup).all():
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
         if big.any():
             # into zeros: a leading S_0 column of out is NaN now (0 - inf * 0)
@@ -194,7 +200,7 @@ class _Rows(NamedTuple):
         """sup / sqrt(centered_sum_sq) = sup / (sigma_hat * sqrt(n)) per row."""
         ss = self.scaled_sum_sq
         # a NaN fails both comparisons
-        if ss.size and not (0.0 < ss.min() and ss.max() < math.inf):
+        if ss.size and not (0.0 < np.minimum.reduce(ss) and np.maximum.reduce(ss) < math.inf):
             raise DegenerateSampleError(
                 "the trimmed sum of squares is zero (identical retained values) or not finite")
         return self.scaled_sup / np.sqrt(self.scaled_sum_sq)
@@ -215,6 +221,7 @@ def _trim_rows(x: np.ndarray, d: int) -> _Rows:
     squaring, a row whose unscaled sum overflows is averaged at that scale, and
     the path step owns the path's fallback.  The scaling is exact: where the
     unscaled sums and squares neither over- nor underflow, nothing changes.
+    One errstate covers the whole kernel, the path step included.
     """
     n = x.shape[1]
     threshold, kept = _trim_rule(x, d)
@@ -222,13 +229,13 @@ def _trim_rows(x: np.ndarray, d: int) -> _Rows:
     exponent = np.frexp(threshold)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         centered = np.ldexp(values, -exponent[:, None])
-        mean = values.sum(axis=1) / n
-        big = ~np.isfinite(mean)
-        if big.any():
-            mean[big] = np.ldexp(centered[big].sum(axis=1) / n, exponent[big])
+        mean = np.add.reduce(values, axis=1) / n
+        if not np.isfinite(mean).all():
+            big = ~np.isfinite(mean)
+            mean[big] = np.ldexp(np.add.reduce(centered[big], axis=1) / n, exponent[big])
         centered -= np.ldexp(mean, -exponent)[:, None]
-        scaled_sum_sq = np.square(centered, out=centered).sum(axis=1)
-    scaled_sup = _path_sup(values, exponent, out=centered)  # the squares are spent
+        scaled_sum_sq = np.add.reduce(np.square(centered, out=centered), axis=1)
+        scaled_sup = _path_sup(values, exponent, out=centered)  # the squares are spent
     return _Rows(threshold, kept, values, mean, exponent, scaled_sum_sq, scaled_sup)
 
 
@@ -289,12 +296,13 @@ def cusum_path(terms) -> CusumPath:
         raise ValueError("terms must be finite")
     e = np.frexp(np.abs(y).max(keepdims=True))[1]
     points = np.zeros((1, y.size + 1))
-    _path_sup(y[None, :], e, points)
-    k = int(np.abs(points[0]).argmax())
-    if not np.isfinite(points[0, k]):
-        scaled = np.zeros_like(points)
-        _path_sup(np.ldexp(y, -e)[None, :], np.zeros_like(e), scaled)
-        k = int(np.abs(scaled[0]).argmax())
+    with np.errstate(over="ignore", invalid="ignore"):
+        _path_sup(y[None, :], e, points)
+        k = int(np.abs(points[0]).argmax())
+        if not np.isfinite(points[0, k]):
+            scaled = np.zeros_like(points)
+            _path_sup(np.ldexp(y, -e)[None, :], np.zeros_like(e), scaled)
+            k = int(np.abs(scaled[0]).argmax())
     return CusumPath(points[0], float(np.abs(points[0, k])), k)
 
 

@@ -23,7 +23,7 @@ from trimcusum import (
     truncated_sum_scale,
     two_sided_pareto,
 )
-from trimcusum.heavy_tail_models import _quantile_unchecked, _truncated_first_moment
+from trimcusum.heavy_tail_models import _first_moment_difference, _quantile_unchecked
 
 ALL_MODELS = [
     two_sided_pareto(1.5),
@@ -302,10 +302,72 @@ def test_mean_shift_alpha_one_branch():
     ],
 )
 def test_truncated_first_moment_keeps_its_digits_near_alpha_one(alpha, t, expected):
-    # the one-sided family's E[X 1{X <= t}]; its power-difference form lost up
-    # to 1e-3 of it next to alpha = 1
-    value = float(_truncated_first_moment(one_sided_pareto(alpha), np.asarray(t)))
+    # the one-sided family's E[X 1{X <= t}], the difference from c = 0; its
+    # power-difference form lost up to 1e-3 of it next to alpha = 1
+    value = float(_first_moment_difference(one_sided_pareto(alpha), np.asarray(t), 0.0))
     assert abs(value - expected) <= 4 * np.finfo(float).eps * expected
+
+
+@pytest.mark.parametrize(
+    "alpha,t,c,expected",
+    [
+        # g(t) - g(c) with g(t) = a/(1-a) * ((1+t)**(1-a) - 1) + (1+t)**-a - 1
+        # (log(1+t) + 1/(1+t) - 1 at a = 1), in 50-digit arithmetic at the
+        # binary values of alpha, t and c, rounded to the nearest double.  c is
+        # H^-1(31/1e5), and t/c - 1 runs over +-1e-1, 1e-4, +-1e-8 and +-1e-12;
+        # the difference of the two moments lost up to 2e-3 of it at 1e-12.
+        (1.5, 239.05127088121634, 217.3193371647421, 0.00936736846090614),
+        (1.5, 217.34106909845858, 217.3193371647421, 1.005831356052852e-05),
+        (1.5, 217.31933933793547, 217.3193371647421, 1.0059062066547838e-09),
+        (1.5, 217.31933716495945, 217.3193371647421, 1.0060056175465986e-13),
+        (1.5, 217.3193371645248, 217.3193371647421, -1.0058740619553738e-13),
+        (1.5, 217.31933499154871, 217.3193371647421, -1.005906234783749e-09),
+        (1.5, 195.5874034482679, 217.3193371647421, -0.010875548879263765),
+        (1.0, 3547.287096774194, 3224.8064516129034, 0.09525382371321904),
+        (1.0, 3225.1289322580647, 3224.8064516129034, 9.99330161402739e-05),
+        (1.0, 3224.8064838609675, 3224.8064516129034, 9.993800795852087e-09),
+        (1.0, 3224.8064516161285, 3224.8064516129034, 9.994612168151896e-13),
+        (1.0, 3224.806451609679, 3224.8064516129034, -9.99320288838634e-13),
+        (1.0, 3224.806419364839, 3224.8064516129034, -9.993801036656113e-09),
+        (1.0, 2902.325806451613, 3224.8064516129034, -0.10529163922592255),
+        (1 + 1e-8, 3547.2868101022073, 3224.8061910020065, 0.09525381692032749),
+        (1 + 1e-8, 3225.1286716211066, 3224.8061910020065, 9.993300906101278e-05),
+        (1 + 1e-8, 3224.8062232500683, 3224.8061910020065, 9.993800190899833e-09),
+        (1 + 1e-8, 3224.8061910052315, 3224.8061910020065, 9.994612267847627e-13),
+        (1 + 1e-8, 3224.806190998782, 3224.8061910020065, -9.993202988068015e-13),
+        (1 + 1e-8, 3224.8061587539446, 3224.8061910020065, -9.993800290775875e-09),
+        (1 + 1e-8, 2902.3255719018057, 3224.8061910020065, -0.10529163182227883),
+        (1 - 1e-8, 3547.2873834462125, 3224.8067122238294, 0.09525383050611112),
+        (1 - 1e-8, 3225.129192895052, 3224.8067122238294, 9.993302321953484e-05),
+        (1 - 1e-8, 3224.8067444718963, 3224.8067122238294, 9.993801541732302e-09),
+        (1 - 1e-8, 3224.8067122270545, 3224.8067122238294, 9.994612068456164e-13),
+        (1 - 1e-8, 3224.806712220605, 3224.8067122238294, -9.993202788704665e-13),
+        (1 - 1e-8, 3224.806679975762, 3224.8067122238294, -9.993801782536331e-09),
+        (1 - 1e-8, 2902.3260410014464, 3224.8067122238294, -0.10529164662956714),
+    ],
+)
+def test_first_moment_difference_keeps_its_digits_near_c(alpha, t, c, expected):
+    value = float(_first_moment_difference(one_sided_pareto(alpha), np.asarray(t), c))
+    assert abs(value - expected) <= 4 * np.finfo(float).eps * abs(expected)
+    # the left tail mirrors the right
+    two = float(_first_moment_difference(two_sided_pareto(alpha, 0.75), np.asarray(t), c))
+    assert abs(two - expected / 2) <= 4 * np.finfo(float).eps * abs(expected / 2)
+
+
+@pytest.mark.parametrize(
+    "t,expected",
+    [
+        # at alpha = 1 and d/n = 1/4, c = 3 exactly; 50-digit values as above
+        (3.3000000000000003, 0.05487880111450989),
+        (3.00000003, 5.624999951751726e-09),
+        (3.0000000000030003, 5.625500065774262e-13),
+        (2.999999999997, -5.624667398508606e-13),
+    ],
+)
+def test_mean_shift_keeps_its_digits_near_the_reference_threshold(t, expected):
+    one = one_sided_pareto(1.0)
+    assert tail_survival_inv(one, 25 / 100) == 3.0
+    assert abs(mean_shift(one, t, 25, 100) - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
 
 def test_truncated_sum_scale_hand_value():

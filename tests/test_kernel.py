@@ -157,14 +157,30 @@ def reference_critical_value(sample, d, plan):
     "n,m", [(37, 37), (200, 71), (200, 1), (1000, 1000), (1000, 333), (53, 17)]
 )
 def test_blocked_resampling_matches_replicate_loop(monkeypatch, block_rows, mode, n, m):
-    plan = ResamplePlan(m=m, mode=mode, replications=150, level=0.9, seed=4)
-    # a block row holds n values in permutation mode and m in bootstrap mode
+    plan = ResamplePlan(m=m, mode=mode, replications=151, level=0.9, seed=4)
+    # a block row holds n values in permutation mode and m in bootstrap mode,
+    # and a block holds whole pairs of rows (7 rows' worth make 3 pairs)
     width = resampling._block_width(plan, n)
     if block_rows is not None:
         monkeypatch.setattr(resampling, "_BLOCK_ELEMS", block_rows * width)
     sample = sample_iid(two_sided_pareto(1.5), n, seed=n + m)
     d = 3
-    # 150 replicates are never a whole number of blocks at these sizes
-    assert plan.replications % (resampling._BLOCK_ELEMS // width) != 0
+    # 151 replicates are never a whole number of blocks, so the last block is
+    # partial and ends in half a pair
+    assert plan.replications % (2 * (resampling._BLOCK_ELEMS // (2 * width))) != 0
     est = resampled_critical_value(sample, d, plan)
     assert (est.value, est.standard_error) == reference_critical_value(sample, d, plan)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 1000, 5000])
+def test_paired_lanes_match_replicate_loop(mode, n):
+    # odd B leaves the last pair's second lane unused; at n = 5000 a
+    # permutation block holds a single pair
+    sample = sample_iid(two_sided_pareto(1.5), n, seed=n)
+    d = 1 if n < 4 else 3
+    for m in sorted({1, max(1, n // 3), n}):
+        for b_total in (1, 2, 3, 37, 1001):
+            plan = ResamplePlan(m=m, mode=mode, replications=b_total, level=0.9, seed=n + m)
+            est = resampled_critical_value(sample, d, plan)
+            assert (est.value, est.standard_error) == reference_critical_value(sample, d, plan)

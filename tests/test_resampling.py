@@ -183,6 +183,24 @@ def numpy_draw(seed, b, n, m, mode):
     return gen.permutation(n)[:m]
 
 
+def lane(pairs, row):
+    """Replicate row's lane of a paired (h, width, 2) block."""
+    return pairs[row // 2, :, row % 2]
+
+
+def paired_draw(plan, n, start, stop):
+    """The paired writer's lanes on x = 0..n-1, whose drawn values are the
+    drawn indices, trimmed to their first m columns.  The buffer has a spare
+    pair filled with NaN, which the draw must leave alone."""
+    x = np.arange(n, dtype=float)
+    pairs = (stop - start + 1) // 2
+    width = resampling._block_width(plan, n)
+    lanes = np.full((pairs + 1, width, 2), np.nan)
+    resampling._draw_pairs(resampling._draw_source(x, plan), plan, start, stop, lanes)
+    assert np.isnan(lanes[pairs:]).all()
+    return lanes[:pairs, : plan.m]
+
+
 # 2**31 + 1 and 3 * 2**30 reject about 50 % and 25 % of the 32-bit candidates;
 # 2**32 takes them whole and 2**32 + 1 takes numpy's 64-bit rule.
 WIDE_N = (2**31 + 1, 3 * 2**30, 2**32, 2**32 + 1)
@@ -203,20 +221,20 @@ WIDE_N = (2**31 + 1, 3 * 2**30, 2**32, 2**32 + 1)
 @example(seed=2, start=7, rows=6, n=3 * 2**30, m=400, mode=WITH_REPLACEMENT)
 @example(seed=3, start=0, rows=3, n=5, m=5, mode=WITHOUT_REPLACEMENT)
 def test_indices_are_numpys_draws_bit_for_bit(seed, start, rows, n, m, mode):
+    # every lane of the paired writer, the unused lane of an odd block aside
     if mode == WITHOUT_REPLACEMENT:
-        n = min(n, 3000)  # each shuffled row holds n values
+        n = min(n, 3000)  # each shuffled lane holds n values
         m = min(m, n)
     plan = ResamplePlan(m=m, mode=mode, replications=1, seed=seed)
+    blocks = []
     if mode == WITH_REPLACEMENT:
-        got = resampling._indices(plan, n, start, start + rows)
-    else:
-        # shuffled copies of 0..n-1 are the permuted indices themselves; the
-        # block buffer has a spare row the draw must not need
-        x = np.arange(n, dtype=float)
-        got = resampling._draw_block(x, plan, start, start + rows, np.empty((rows + 1, n)))
-    assert got.shape == (rows, m)
-    for row in range(rows):
-        assert_array_equal(got[row], numpy_draw(seed, start + row, n, m, mode))
+        blocks.append(resampling._indices(plan, n, start, start + rows))
+    if n <= 3000:
+        blocks.append(paired_draw(plan, n, start, start + rows))
+    for got in blocks:
+        assert got.shape == ((rows + 1) // 2, m, 2)
+        for row in range(rows):
+            assert_array_equal(lane(got, row), numpy_draw(seed, start + row, n, m, mode))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
@@ -246,18 +264,24 @@ def test_rows_short_of_accepted_candidates_are_drawn_by_numpy(monkeypatch):
     plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=1)
     got = resampling._indices(plan, n, 0, 16)
     assert 0 < len(redrawn) < 16
+    assert {b % 2 for b in redrawn} == {0, 1}  # both lanes
     for b in range(16):
-        assert_array_equal(got[b], numpy_draw(1, b, n, m, WITH_REPLACEMENT))
+        assert_array_equal(lane(got, b), numpy_draw(1, b, n, m, WITH_REPLACEMENT))
 
 
 def test_a_rejected_candidate_is_skipped_as_numpy_skips_it():
-    # stream 28814 of seed 0 rejects its 229th 32-bit candidate at n = 1000
+    # at n = 1000, stream 28814 of seed 0 rejects its 229th 32-bit candidate
+    # and stream 64967 its 327th; blocks start at even replicates, so the
+    # first lands in a first lane and the second in a second lane
     n = m = 1000
-    words = np.random.Philox(key=0, counter=28814 * STREAM_STRIDE).random_raw(m)
-    prod = words.astype("<u8").view("<u4").astype(np.uint64) * np.uint64(n)
-    rejected = np.flatnonzero(prod % 2**32 < (2**32 - n) % n)
-    assert rejected.tolist() == [228]
     plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=0)
-    got = resampling._indices(plan, n, 28810, 28818)  # one block of 8 rows
-    for row in range(8):
-        assert_array_equal(got[row], numpy_draw(0, 28810 + row, n, m, WITH_REPLACEMENT))
+    for stream, candidate in ((28814, 228), (64967, 326)):
+        words = np.random.Philox(key=0, counter=stream * STREAM_STRIDE).random_raw(m)
+        prod = words.astype("<u8").view("<u4").astype(np.uint64) * np.uint64(n)
+        rejected = np.flatnonzero(prod % 2**32 < (2**32 - n) % n)
+        assert rejected.tolist() == [candidate]
+        start = stream - stream % 8  # one block of 8 rows
+        for got in (resampling._indices(plan, n, start, start + 8),
+                    paired_draw(plan, n, start, start + 8)):
+            for row in range(8):
+                assert_array_equal(lane(got, row), numpy_draw(0, start + row, n, m, WITH_REPLACEMENT))

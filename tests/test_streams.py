@@ -1,5 +1,6 @@
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +19,9 @@ from trimcusum import (
     sample_iid,
     two_sided_pareto,
 )
+from trimcusum import montecarlo, resampling
 from trimcusum._streams import STREAM_STRIDE, stream_generator, stream_uniforms
+from trimcusum.trimmed_cusum import _trim_one
 
 # the word boundaries of the two 64-bit words that hold a seed or stream index
 EDGES = (0, 1, 2**64 - 1, 2**64, 2**128 - 1)
@@ -131,3 +134,80 @@ def test_threads_draw_the_serial_bits():
     for s, stats, estimate in results:
         assert_array_equal(stats, serial[s][0])
         assert estimate == serial[s][1]
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.int64, np.uint64])
+def test_numpy_integer_indices_draw_what_python_ints_draw(kind):
+    for seed, stream in ((0, 0), (3, 7), (200, 101)):
+        expected = reference(seed, stream).random(6)
+        assert_array_equal(stream_generator(kind(seed), stream).random(6), expected)
+        assert_array_equal(stream_generator(seed, kind(stream)).random(6), expected)
+        assert_array_equal(stream_uniforms(kind(seed), kind(stream), 6), np.maximum(expected, 2.0**-53))
+    big = np.uint64(2**64 - 1)
+    assert_array_equal(stream_generator(big, big).random(3), reference(2**64 - 1, 2**64 - 1).random(3))
+
+
+def test_bools_floats_and_out_of_range_indices_keep_their_results():
+    # a bool is an int; a float is not an index at all
+    assert_array_equal(stream_generator(True, False).random(4), reference(1, 0).random(4))
+    for seed, stream in ((1.0, 0), (0, 2.0)):
+        with pytest.raises(TypeError):
+            stream_generator(seed, stream)
+    for seed, stream in ((-1, 0), (2**128, 0), (0, -1), (0, 2**128)):
+        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*128\)"):
+            stream_generator(seed, stream)
+
+
+def test_threads_moving_in_lockstep_draw_their_own_streams():
+    # both threads move their generators between the same two barriers; a
+    # state dict shared between threads would hand one the other's stream
+    barrier = threading.Barrier(2, timeout=60)
+    draws = {}
+
+    def worker(seed):
+        rows = []
+        for b in range(150):
+            barrier.wait()
+            gen = stream_generator(seed, b)
+            barrier.wait()
+            rows.append(gen.random(5))
+        draws[seed] = rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (7, 2**100)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in (7, 2**100):
+        for b, row in enumerate(draws[seed]):
+            assert_array_equal(row, reference(seed, b).random(5))
+
+
+def _counting(monkeypatch, module, calls):
+    original = module.stream_generator
+
+    def spy(seed, stream=0):
+        calls.append(stream)
+        return original(seed, stream)
+
+    monkeypatch.setattr(module, "stream_generator", spy)
+
+
+def test_each_replicate_addresses_its_stream_once(monkeypatch):
+    # the benchmark counts these calls as streams addressed and replicates
+    calls = []
+    _counting(monkeypatch, montecarlo, calls)
+    montecarlo._sample_block(two_sided_pareto(1.5), 50, 3, 10, 7)
+    assert calls == list(range(10, 17))
+    _counting(monkeypatch, resampling, calls)
+    rows = _trim_one(sample_iid(two_sided_pareto(1.5), 300, seed=1), 3)[1]
+    for mode in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        calls.clear()
+        # 301 replicates: several blocks, and an odd one at the end
+        resampling._critical_value(rows, ResamplePlan(m=300, mode=mode, replications=301, seed=2))
+        assert calls == list(range(301))

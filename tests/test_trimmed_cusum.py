@@ -285,6 +285,17 @@ def test_cusum_path_argmax_where_several_points_pass_the_float_range():
     assert trim_trunc_gap([1e308, 1e308, 1.7e308, 1.0], 2, 2.0) == 1e308
 
 
+def test_one_path_helpers_past_the_float_range_raise_no_warning():
+    # the path step opens no errstate of its own; each entry point holds one
+    # around it, the inf points and their argmax redo included
+    a = [1e308] * 3 + [-1e308] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cusum_path(a).argmax_k == 3
+        assert truncated_cusum_path(a, 1e308).argmax_k == 3
+        assert trim_trunc_gap(a, 2, 0.0) == math.inf
+
+
 def test_gap_sup_past_the_float_range_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
