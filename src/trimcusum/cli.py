@@ -63,12 +63,19 @@ class UsageError(Exception):
 
 
 def load_series(path: str) -> np.ndarray:
-    """One real per line; an optional leading 'value' header row is skipped."""
+    """One real per line; an optional leading 'value' header row is skipped.
+
+    A UTF-8 byte-order mark and trailing blank lines are ignored; a blank line
+    inside the data is an error, since skipping it would shift every later
+    index.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    while lines and not lines[-1].strip():
+        lines.pop()
     start = 0
     if lines and lines[0].strip().lower() == "value":
         start = 1

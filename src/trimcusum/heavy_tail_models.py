@@ -129,9 +129,12 @@ def cdf(model: TailModel, t):
     return _ret(out, scalar)
 
 
-def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
+def _quantile_unchecked(model: TailModel, u: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Inverse CDF of a block of uniforms in (0, 1), unchecked.  With
+    overwrite, u (C-contiguous) receives the result and is returned, so a
+    caller that owns its block allocates no output."""
     if model.family == GAUSSIAN:
-        return ndtri(u)
+        return ndtri(u, out=u if overwrite else None)
     a = model.alpha
     # v**(-1/alpha) passes the float range for v < exp(-709.78 * alpha), which
     # samplers meet at small alpha (v < 8.3e-4 at alpha = 0.01).  The draw is
@@ -141,9 +144,13 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
     # which rounds differently from the array loop.
     shape = u.shape
     u = u.reshape(-1)
+    out = u if overwrite else None
     with np.errstate(over="ignore"):
         if model.family != TWO_SIDED_PARETO:
-            return ((1.0 - u) ** (-1.0 / a) - 1.0).reshape(shape)
+            v = np.subtract(1.0, u, out=out)
+            v **= -1.0 / a
+            v -= 1.0
+            return v.reshape(shape)
         # Both branches in one pass, with no boolean gather, scatter or
         # select, which mispredict on random draws.  r is 1.0 on the right
         # (u > q) and 0.0 on the left, so multiplying by r or 1 - r selects
@@ -151,17 +158,19 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray) -> np.ndarray:
         # -(1-u)/-p = (1-u)/p on the right.  A zero tail weight is never a
         # divisor, since no u in (0, 1) takes its branch.  With sign = 2r - 1,
         # s*sign - sign is 1 - s on the left and s - 1 on the right, bit for
-        # bit, and +0.0 at u == q.
+        # bit, and +0.0 at u == q.  r becomes the sign in place, so that a
+        # block costs at most three temporaries of its size.
         r = (u > model.q).astype(float)
-        v = u - r
-        den = (1.0 - r) * model.q
+        v = np.subtract(u, r, out=out)
+        den = np.subtract(1.0, r)
+        den *= model.q
         den -= r * model.p
         v /= den
         v **= -1.0 / a
-        sign = r * 2.0
-        sign -= 1.0
-        v *= sign
-        v -= sign
+        r *= 2.0
+        r -= 1.0
+        v *= r
+        v -= r
     return v.reshape(shape)
 
 

@@ -35,8 +35,8 @@ from ._streams import SEED_LIMIT, U_FLOOR, stream_generator
 from .limit_dist import sup_bridge_quantile
 from .resampling import _sorted_quantile_and_error
 from .trimmed_cusum import (
-    DegenerateSampleError, _check_depth, _gap_sup, _gap_terms, _trim_rows, _trim_rule,
-    default_trim_depth,
+    _BLOCK_ELEMS, DegenerateSampleError, _check_depth, _gap_sup, _gap_terms, _integer,
+    _trim_rows, _trim_rule, default_trim_depth,
 )
 
 __all__ = [
@@ -59,11 +59,7 @@ __all__ = [
 # Shift levels used for power curves: -3.0, -2.9, ..., 2.9, 3.0.
 DEFAULT_SHIFT_GRID: tuple[float, ...] = tuple(i / 10 for i in range(-30, 31))
 
-# Elements per sample block: 2**13 doubles are 64 KiB, so the block and each of
-# the kernel's temporaries fit in L2 cache and stay under glibc's 128 KiB mmap
-# threshold (see _block_rows).
-_BATCH_ELEMS = 1 << 13
-# Elements per block for rows longer than _BATCH_ELEMS (see _block_rows).
+# Elements per block for rows longer than _BLOCK_ELEMS (see _block_rows).
 _LONG_ROW_ELEMS = 1 << 22
 
 
@@ -83,6 +79,10 @@ class SimulationSpec:
     d: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "replications", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.d is not None:
+            object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.n < 4:
             raise ValueError("n must be at least 4")
         if self.replications < 1:
@@ -138,6 +138,7 @@ class PowerSpec:
     shift_grid: tuple[float, ...] = DEFAULT_SHIFT_GRID
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "change_at", _integer(self.change_at, "change_at"))
         if not 1 <= self.change_at < self.base.n:
             raise ValueError("change_at must satisfy 1 <= k < n")
         if not self.critical_value > 0.0:
@@ -171,16 +172,19 @@ def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
     return sample_substream(spec.model, spec.n, spec.master_seed, replicate)
 
 
-def _sample_block(model: TailModel, n: int, seed: int, start: int, count: int) -> np.ndarray:
+def _sample_block(
+    model: TailModel, n: int, seed: int, start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """One job's sample block: row i holds the uniforms of substream start + i,
     exactly as sample_substream draws them (stream_uniforms), drawn straight
     into the block and raised to U_FLOOR once for the whole block, and the
-    whole block goes through the inverse CDF in one call."""
-    u = np.empty((count, n))
+    whole block goes through the inverse CDF in one call, in place.  With
+    `out`, a C-contiguous (count, n) array, the block is drawn into it."""
+    u = np.empty((count, n)) if out is None else out
     for i in range(count):
         stream_generator(seed, start + i).random(n, out=u[i])
     np.maximum(u, U_FLOOR, out=u)
-    return _quantile_unchecked(model, u)
+    return _quantile_unchecked(model, u, overwrite=True)
 
 
 def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
@@ -205,15 +209,13 @@ def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
 def _block_rows(n: int) -> int:
     """Rows of a sample block of length-n rows.
 
-    A block holds _BATCH_ELEMS values, 64 KiB of doubles.  It and every
-    temporary the kernel makes from it then stay in L2 cache, and each is
-    below glibc's 128 KiB mmap threshold, so a freed temporary is reused from
-    the heap by the next block instead of being mapped and faulted in again.
-    A row longer than that cannot stay in cache, and a block of one such row
-    would fault in every temporary once per replicate, so long rows keep
-    blocks of _LONG_ROW_ELEMS values (32 MB).
+    A block holds _BLOCK_ELEMS values, 128 KiB of doubles, so that it and
+    every temporary the kernel makes from it stay in L2 cache (see
+    _BLOCK_ELEMS).  A row longer than that cannot stay in cache, and a block
+    of one such row would fault in every temporary once per replicate, so
+    long rows keep blocks of _LONG_ROW_ELEMS values (32 MB).
     """
-    return _BATCH_ELEMS // n if n <= _BATCH_ELEMS else max(1, _LONG_ROW_ELEMS // n)
+    return _BLOCK_ELEMS // n if n <= _BLOCK_ELEMS else max(1, _LONG_ROW_ELEMS // n)
 
 
 def _call(payload):
@@ -289,7 +291,7 @@ def _table_job(start, count, model, sizes, depths, seed):
     x = np.empty((count, top))
     rows = _block_rows(top)
     for lo in range(0, count, rows):
-        x[lo : lo + rows] = _sample_block(model, top, seed, start + lo, min(rows, count - lo))
+        _sample_block(model, top, seed, start + lo, min(rows, count - lo), out=x[lo : lo + rows])
     stats = np.empty((len(sizes), count))
     errors = [None] * len(sizes)
     for k, (n, d) in enumerate(zip(sizes, depths)):
@@ -313,16 +315,21 @@ def critical_value_table(
     but the whole list is one pass: a replicate is drawn once, at the largest
     n, and every smaller n reads its prefix (_table_job).
     """
-    depths = {int(n): replace(spec, n=int(n)).trim_depth for n in n_list}
+    n_list = [_integer(n, "n_list entry") for n in n_list]
+    depths = {n: replace(spec, n=n).trim_depth for n in n_list}
     quantiles = {}
     if depths:
         sizes = sorted(depths)
-        # as many whole sample blocks of the largest n as fit in one block of
-        # the smallest, so that every n's slices are about whole blocks; at
-        # n = 100, 200, 400, 800 (blocks of 81, 40, 20 and 10 rows) a job is
-        # 80 rows, drawn as one 500 KB array
-        job_rows = _block_rows(sizes[-1])
-        job_rows *= max(1, max(map(_block_rows, sizes)) // job_rows)
+        top = sizes[-1]
+        # four sample blocks of the largest n, or one long-row block: at
+        # n = 100, 200, 400, 800 a job is 80 rows, drawn in place as one
+        # 500 KB array in four blocks of 20 rows, and its kernel slices are
+        # 80, 80, 40 and 20 rows.  glibc trims the top of its heap once the
+        # free space there reaches twice the largest mapped chunk it has
+        # freed, which is this array; a job's other temporaries, at most
+        # about three blocks (the kernel's), stay smaller than the array, so
+        # the heap is not trimmed and grown back page by page between jobs.
+        job_rows = _block_rows(top) * (4 if top <= _BLOCK_ELEMS else 1)
         jobs = _run_jobs(
             _table_job, workers, spec.replications, job_rows, spec.model, sizes,
             [depths[n] for n in sizes], spec.master_seed,
@@ -330,7 +337,7 @@ def critical_value_table(
         # the error the per-n loop would meet first: the first n in list
         # order that has one, at its lowest replicate
         for n in n_list:
-            k = sizes.index(int(n))
+            k = sizes.index(n)
             for _, errors in jobs:
                 if errors[k] is not None:
                     raise errors[k]
@@ -338,7 +345,7 @@ def critical_value_table(
         for k, n in enumerate(sizes):
             stats[k].sort()
             quantiles[n] = _sorted_quantile_and_error(stats[k], spec.level)[0]
-    rows = [(float(n), quantiles[int(n)]) for n in n_list]
+    rows = [(float(n), quantiles[n]) for n in n_list]
     rows.append((math.inf, sup_bridge_quantile(spec.level)))
     return rows
 

@@ -9,11 +9,12 @@ procedure is reproducible regardless of evaluation order.
 
 Replicate b's draw is exactly numpy's: ``x[Generator.integers(0, n, size=m)]``
 (with replacement) or ``x[Generator.permutation(n)[:m]]`` (without) on stream
-b.  The critical value works through the replicates in blocks of about 64 KiB
-of drawn values, and one path step serves every row of a block.  A block
-holds its replicates in pairs, replicates 2i and 2i + 1 as the real and
-imaginary lanes of one complex128 row, so that one complex cumulative sum
-runs two independent add chains per pass; each lane's sums are the same IEEE
+b.  The critical value works through the replicates in blocks of about 128 KiB
+of drawn values (trimmed_cusum._BLOCK_ELEMS, the size of montecarlo's sample
+blocks), and one path step serves every row of a block.  A block holds its
+replicates in pairs, replicates 2i and 2i + 1 as the real and imaginary lanes
+of one complex128 row, so that one complex cumulative sum runs two
+independent add chains per pass; each lane's sums are the same IEEE
 adds in the same order as a real row's, so the layout changes no bit.  A
 bootstrap block takes each replicate's raw Philox words, applies numpy's own
 bounded-integer rule to the whole block at once, writing each replicate's
@@ -33,7 +34,8 @@ import numpy as np
 
 from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
-    CusumPath, DegenerateSampleError, _Rows, _tie_down, _trim_one, cusum_path, trim
+    _BLOCK_ELEMS, CusumPath, DegenerateSampleError, _Rows, _integer, _tie_down, _trim_one,
+    cusum_path, trim,
 )
 
 __all__ = [
@@ -50,14 +52,6 @@ __all__ = [
 WITH_REPLACEMENT = "with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
 
-# Drawn values per block pushed through the path step in one call: enough rows
-# to amortize numpy's per-call overhead, and 64 KiB of doubles, so that the
-# block's buffers and temporaries (raw words, indices, draws, path) stay in L2
-# cache and under glibc's 128 KiB mmap threshold: freed blocks come back from
-# the heap instead of costing fresh page faults.  montecarlo's blocks are the
-# same size.
-_BLOCK_ELEMS = 1 << 13
-
 
 @dataclass(frozen=True)
 class ResamplePlan:
@@ -70,6 +64,8 @@ class ResamplePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("m", "replications", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1:
             raise ValueError("resample size m must be at least 1")
         if self.mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):

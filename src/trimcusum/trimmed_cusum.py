@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,16 @@ __all__ = [
     "locate_change",
     "centered_gap_process",
 ]
+
+# Values per block of the Monte Carlo and resampling hot loops (montecarlo's
+# sample blocks and kernel slices, resampling's draw blocks): 2**14 doubles,
+# 128 KiB.  Every draw, trim and path step works row by row, so the block
+# size changes no bit of any result; it sets how many rows share one numpy
+# call, whose fixed cost (about 19 us for a _trim_rows call) dominates short
+# rows.  A block and the kernel's temporaries of it, about three blocks, fit
+# in L2 cache (2 MB a core on the benchmark host).  How the heap serves
+# blocks of this size is set out at critical_value_table's job size.
+_BLOCK_ELEMS = 1 << 14
 
 
 class DegenerateSampleError(ValueError):
@@ -107,6 +118,15 @@ def default_trim_depth(n: int) -> int:
     return max(2, int(math.floor(n ** 0.3 + 1e-9)))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int through operator.index, so numpy integers pass, or a
+    ValueError naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_depth(d: int, n: int) -> None:
     """The trim-depth contract of every entry point: 1 <= d < n."""
     if not 1 <= d < n:
@@ -139,7 +159,10 @@ def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
     The c columns of sums hold S_k for k = n - c + 1..n: c = n + 1 with a
     leading S_0, or c = n.  Callers pass a whole contiguous block, not a
     column slice, which numpy would loop over row by row."""
-    sums -= sums[:, -1:] * _tie_down_weights(n, sums.shape[1])
+    # einsum's outer product allocates no broadcasting buffers, where
+    # multiply would add two of 64 KiB to a block's temporaries; it gives the
+    # same products, but +0.0 for -0.0
+    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n, sums.shape[1]))
     return sums
 
 

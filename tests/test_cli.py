@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,42 @@ def test_load_series_too_short(tmp_path):
     path.write_text("1\n2\n3\n")
     with pytest.raises(DataError, match="at least 4"):
         load_series(str(path))
+
+
+@pytest.mark.parametrize("header", ["", "value\n"])
+def test_load_series_skips_a_utf8_byte_order_mark(tmp_path, header):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{header}1\n2\n3\n4\n".encode())
+    np.testing.assert_array_equal(load_series(str(path)), [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("tail", ["\n", "\n\n", " \n\t\n", "\r\n\r\n", "\n  "])
+def test_load_series_ignores_trailing_blank_lines(tmp_path, tail):
+    path = tmp_path / "a.csv"
+    path.write_bytes(f"value\n1\n2\n3\n4{tail}".encode())
+    np.testing.assert_array_equal(load_series(str(path)), [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("gap", ["", "   "])
+def test_load_series_rejects_a_blank_line_inside_the_data(tmp_path, gap):
+    # skipping it would shift the index of every later value
+    path = tmp_path / "a.csv"
+    path.write_text(f"value\n1\n2\n{gap}\n3\n4\n\n")
+    with pytest.raises(DataError, match="line 4: ''"):
+        load_series(str(path))
+
+
+def test_test_subcommand_reads_a_byte_order_mark_and_trailing_blank_line(
+    capsys, tmp_path, hand_csv
+):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(hand_csv).read_bytes() + b"\n\n")
+    code, out, _ = run_cli(capsys, "test", "--input", str(path))
+    plain_code, plain_out, _ = run_cli(capsys, "test", "--input", hand_csv)
+    assert code == plain_code != 3
+    # the reports differ only in the echoed input path
+    assert out.replace(str(path), hand_csv) == plain_out
 
 
 def test_load_series_missing_file():

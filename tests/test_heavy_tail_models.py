@@ -138,6 +138,21 @@ def test_two_sided_quantile_is_its_two_branches_bit_for_bit(alpha, p, drawn, col
             assert quantile(model, float(ui)) == want
 
 
+@pytest.mark.parametrize("model", ALL_MODELS + [two_sided_pareto(0.01)])
+def test_quantile_in_place_is_the_quantile_bit_for_bit(model):
+    # Monte Carlo sample blocks go through the inverse CDF in place
+    u = np.random.default_rng(3).random((7, 53))
+    edges = probabilities_around(model.q)
+    u[0, : len(edges)] = edges
+    drawn = u.copy()
+    with np.errstate(over="ignore"):
+        expected = _quantile_unchecked(model, u)
+        assert_array_equal(u.view(np.int64), drawn.view(np.int64))  # left as drawn
+        got = _quantile_unchecked(model, u, overwrite=True)
+    assert got.shape == u.shape and np.shares_memory(got, u)
+    assert_array_equal(u.view(np.int64), expected.view(np.int64))
+
+
 def test_two_sided_quantile_overflows_to_signed_inf_and_is_zero_at_the_branch_point():
     model = two_sided_pareto(0.01)
     u = np.array([2.0**-53, 0.5, 1.0 - 2.0**-53])

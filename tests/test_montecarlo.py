@@ -52,6 +52,40 @@ def test_spec_validation():
     assert SimulationSpec(MODEL, n=100, replications=10, d=5).trim_depth == 5
 
 
+SPEC_INTEGERS = {"n": 100, "replications": 50, "master_seed": 7, "d": 3}
+NOT_INTEGERS = [float, lambda v: v + 0.5, str]
+
+
+@pytest.mark.parametrize("field", sorted(SPEC_INTEGERS))
+@pytest.mark.parametrize("convert", NOT_INTEGERS)
+def test_spec_rejects_a_non_integer_field_by_name(field, convert):
+    fields = dict(SPEC_INTEGERS, **{field: convert(SPEC_INTEGERS[field])})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        SimulationSpec(MODEL, **fields)
+
+
+@pytest.mark.parametrize("field", sorted(SPEC_INTEGERS))
+def test_spec_takes_numpy_integers_as_ints(field):
+    spec = SimulationSpec(MODEL, **dict(SPEC_INTEGERS, **{field: np.int64(SPEC_INTEGERS[field])}))
+    assert spec == SimulationSpec(MODEL, **SPEC_INTEGERS)
+    assert type(getattr(spec, field)) is int
+
+
+@pytest.mark.parametrize("convert", NOT_INTEGERS)
+def test_table_rejects_a_non_integer_size_by_name(convert):
+    # a size of 100.5 used to give a row labelled 100.5 computed at n = 100
+    spec = SimulationSpec(MODEL, n=100, replications=50)
+    with pytest.raises(ValueError, match=r"^n_list entry must be an integer, got "):
+        critical_value_table(spec, [40, convert(100)])
+
+
+def test_table_takes_numpy_integer_sizes():
+    spec = SimulationSpec(MODEL, n=40, replications=50, master_seed=3)
+    assert critical_value_table(spec, [np.int64(80), np.int32(40)]) == critical_value_table(
+        spec, [80, 40]
+    )
+
+
 def test_change_spec_validation():
     ChangeSpec(breaks=((10, 1.0), (20, -1.0)))
     with pytest.raises(ValueError):
@@ -123,7 +157,7 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
 ):
     # 7-row blocks: 100 replicates end in a 2-row block
     spec = SimulationSpec(MODEL, n=50, replications=100, master_seed=31)
-    monkeypatch.setattr(montecarlo, "_BATCH_ELEMS", 7 * spec.n)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 7 * spec.n)
     d = spec.trim_depth
     nulls = [generate_null(spec, r) for r in range(spec.replications)]
     scalar = np.array([trimmed_statistic(x, d) for x in nulls])
@@ -142,17 +176,17 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
     assert power_curve(pspec, workers) == expected
 
 
-LONG_N = 9000  # above 2**13, so its blocks hold _LONG_ROW_ELEMS // n rows
+LONG_N = 20_000  # above 2**14, so its blocks hold _LONG_ROW_ELEMS // n rows
 
 
 BLOCK_SPEC = SimulationSpec(MODEL, n=60, replications=1500, master_seed=8)
-# unsorted, with a duplicate, and with a row longer than 2**13
+# unsorted, with a duplicate, and with a row longer than 2**14
 TABLE_N = [80, 20, 80, LONG_N]
 
 
 def block_results(workers):
-    """Every Monte Carlo entry point on short rows (12 blocks of 2**13 values)
-    and on rows longer than 2**13."""
+    """Every Monte Carlo entry point on short rows (6 blocks of 2**14 values,
+    the last partial) and on rows longer than 2**14."""
     spec = BLOCK_SPEC
     pspec = PowerSpec(base=spec, change_at=30, critical_value=1.2, shift_grid=(-1.0, 0.0, 0.5))
     long = SimulationSpec(one_sided_pareto(1.5), n=LONG_N, replications=7, master_seed=3)
@@ -174,13 +208,13 @@ def default_block_results():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
-    "batch_elems, long_row_elems",
-    [(1 << 13, 1 << 22), (1 << 22, 1 << 22), (1 << 13, 3 * LONG_N)],
+    "block_elems, long_row_elems",
+    [(1 << 14, 1 << 22), (1 << 13, 1 << 22), (1 << 22, 1 << 22), (1 << 14, 3 * LONG_N)],
 )
 def test_results_do_not_depend_on_block_size_or_workers(
-    monkeypatch, default_block_results, workers, batch_elems, long_row_elems
+    monkeypatch, default_block_results, workers, block_elems, long_row_elems
 ):
-    monkeypatch.setattr(montecarlo, "_BATCH_ELEMS", batch_elems)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", block_elems)
     monkeypatch.setattr(montecarlo, "_LONG_ROW_ELEMS", long_row_elems)
     nulls, power, long_nulls, centering, gaps, table = block_results(workers)
     assert_array_equal(nulls, default_block_results[0])
@@ -254,8 +288,9 @@ def test_table_raises_the_error_of_the_first_n_in_list_order(workers, n_list):
 
 def test_table_memory_stays_within_a_few_sample_blocks():
     # a table job draws its replicates once, at the largest n, into one array
-    # (80 x 800 doubles here, 500 KB), and each n sends it to the kernel in
-    # slices of one sample block, not whole (about 3 MiB with its temporaries)
+    # (80 x 800 doubles here, 500 KB, four sample blocks), and each n sends it
+    # to the kernel in slices of at most one sample block of that n, not whole
+    # (about 2 MB with its temporaries)
     spec = SimulationSpec(MODEL, 100, 2000)
     n_list = [100, 200, 400, 800]
     critical_value_table(spec, n_list)  # warm-up
@@ -266,6 +301,34 @@ def test_table_memory_stays_within_a_few_sample_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_table_job_temporaries_stay_below_its_staging_array(monkeypatch):
+    # glibc trims the top of its heap once the free space there reaches twice
+    # the largest mapped chunk it has freed, here a job's staging array; while
+    # a job's other temporaries stay below that array, the heap is never
+    # trimmed and grown again, page by page, between jobs
+    spec = SimulationSpec(MODEL, 100, 2000)
+    job, peaks = montecarlo._table_job, []
+
+    def traced_job(start, count, model, sizes, depths, seed):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = job(start, count, model, sizes, depths, seed)
+        peaks.append((count * sizes[-1] * 8, tracemalloc.get_traced_memory()[1] - before))
+        return result
+
+    monkeypatch.setattr(montecarlo, "_table_job", traced_job)
+    critical_value_table(spec, [100, 200, 400, 800])  # warm-up
+    peaks.clear()
+    tracemalloc.start()
+    try:
+        critical_value_table(spec, [100, 200, 400, 800])
+    finally:
+        tracemalloc.stop()
+    assert peaks
+    for staging, peak in peaks:
+        assert peak - staging < staging
 
 
 def test_zero_variance_replicate_is_named():
@@ -356,6 +419,10 @@ def test_power_spec_validation():
         PowerSpec(base=spec, change_at=30, critical_value=0.0)
     with pytest.raises(ValueError):
         PowerSpec(base=spec, change_at=30, critical_value=1.3, shift_grid=())
+    with pytest.raises(ValueError, match=r"^change_at must be an integer, got 30.0$"):
+        PowerSpec(base=spec, change_at=30.0, critical_value=1.3)
+    pspec = PowerSpec(base=spec, change_at=np.int64(30), critical_value=1.3)
+    assert type(pspec.change_at) is int
 
 
 def test_size_under_finite_variance_smoke():

@@ -37,6 +37,24 @@ def test_plan_validation():
         ResamplePlan(m=5, seed=-1)
 
 
+PLAN_INTEGERS = {"m": 5, "replications": 50, "seed": 7}
+
+
+@pytest.mark.parametrize("field", sorted(PLAN_INTEGERS))
+@pytest.mark.parametrize("convert", [float, lambda v: v + 0.5, str])
+def test_plan_rejects_a_non_integer_field_by_name(field, convert):
+    fields = dict(PLAN_INTEGERS, **{field: convert(PLAN_INTEGERS[field])})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        ResamplePlan(**fields)
+
+
+@pytest.mark.parametrize("field", sorted(PLAN_INTEGERS))
+def test_plan_takes_numpy_integers_as_ints(field):
+    plan = ResamplePlan(**dict(PLAN_INTEGERS, **{field: np.int32(PLAN_INTEGERS[field])}))
+    assert plan == ResamplePlan(**PLAN_INTEGERS)
+    assert type(getattr(plan, field)) is int
+
+
 def test_trimmed_centered_hand_values(hand_sample):
     x = trimmed_centered(hand_sample, 2)
     assert_allclose(x, [2.1, -1.9, -0.4, -0.9, 1.1], atol=1e-12)
