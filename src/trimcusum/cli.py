@@ -29,10 +29,9 @@ from .limit_dist import sup_bridge_quantile
 from .montecarlo import (
     PowerSpec,
     SimulationSpec,
-    centering_normality_diagnostic,
+    _diagnostics,
     critical_value_table,
     power_curve,
-    trim_truncation_divergence,
 )
 from .resampling import (
     WITH_REPLACEMENT,
@@ -270,12 +269,7 @@ def _cmd_diagnose(args) -> tuple[int, str]:
     model = one_sided_pareto(args.alpha)
     d = _depth(args, args.n)
     workers = _resolve_workers(args)
-    summary = centering_normality_diagnostic(
-        model, args.n, d, args.reps, seed=args.seed, workers=workers
-    )
-    gaps = trim_truncation_divergence(
-        model, args.n, d, args.reps, seed=args.seed, workers=workers
-    )
+    summary, gaps = _diagnostics(model, args.n, d, args.reps, seed=args.seed, workers=workers)
     config = {
         "subcommand": "diagnose",
         "family": ONE_SIDED_PARETO,

@@ -247,7 +247,13 @@ def _first_moment_difference(model: TailModel, t: np.ndarray, c) -> np.ndarray:
     # g(t) - g(c) is written directly, with L = log((1+t)/(1+c)) =
     # log1p((t-c)/(1+c)) and (1+t)**s - (1+c)**s = (1+c)**s * expm1(s*L), so
     # that it keeps its digits as t -> c, and the first term as a -> 1.
-    log_ratio = np.log1p((t - c) / (1.0 + c))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log1p((t - c) / (1.0 + c))
+    # (t-c)/(1+c) rounds to -1 once 1+t is below 2**-53 (1+c), as realized
+    # thresholds of small tail indices are; L is then the difference of logs
+    lost = np.isneginf(log_ratio)
+    if np.any(lost):
+        log_ratio = np.where(lost, np.log1p(t) - math.log1p(c), log_ratio)
     if a == 1.0:
         # 1/(1+t) - 1/(1+c) = -((t-c)/(1+c)) / (1+t), with t capped at the
         # largest double, where the term is about -1/(1+c): at t = inf the sum
@@ -261,6 +267,25 @@ def _first_moment_difference(model: TailModel, t: np.ndarray, c) -> np.ndarray:
     return (model.p - model.q) * g
 
 
+def _depth_threshold(model: TailModel, d: int, n: int) -> float:
+    """H^-1(d/n), the deterministic threshold of trim depth d in a sample of n.
+
+    At a small tail index it passes the float range (at alpha = 0.01 once
+    d/n < 8.3e-4); every norming constant built on it is then undefined, so
+    a ValueError names alpha, d and n instead of an overflow warning and an
+    inf that would turn into a NaN or a division by zero downstream.
+    """
+    _check_depth(d, n)
+    with np.errstate(over="ignore"):
+        hinv = tail_survival_inv(model, d / n)
+    if not math.isfinite(hinv):
+        raise ValueError(
+            f"H^-1(d/n) passes the float range at alpha={model.alpha}, d={d}, n={n}; "
+            "a larger tail index or d/n keeps it finite"
+        )
+    return hinv
+
+
 def mean_shift(model: TailModel, t, d: int, n: int):
     """Expected mean shift between truncation at t and at the t of rank d/n.
 
@@ -269,11 +294,11 @@ def mean_shift(model: TailModel, t, d: int, n: int):
     relative accuracy next to it; for asymmetric laws it is the random
     centering that separates trimmed from truncated partial sums.
     """
-    _check_depth(d, n)
+    c = _depth_threshold(model, d, n)
     arr, scalar = _prep(t)
     if not np.all(arr >= 0.0):
         raise ValueError("t must be nonnegative")
-    return _ret(_first_moment_difference(model, arr, tail_survival_inv(model, d / n)), scalar)
+    return _ret(_first_moment_difference(model, arr, c), scalar)
 
 
 def truncated_sum_scale(model: TailModel, d: int, n: int) -> float:
@@ -285,9 +310,13 @@ def truncated_sum_scale(model: TailModel, d: int, n: int) -> float:
     """
     if not model.is_pareto:
         raise UnsupportedModelError("truncated_sum_scale requires Pareto-type tails")
-    _check_depth(d, n)
-    hinv = tail_survival_inv(model, d / n)
-    return math.sqrt(model.alpha / (2.0 - model.alpha) * hinv * hinv * d)
+    hinv = _depth_threshold(model, d, n)
+    scale = math.sqrt(model.alpha / (2.0 - model.alpha) * hinv * hinv * d)
+    if math.isinf(scale):
+        # the square of H^-1 passes the float range (scale > 1.3e154) before
+        # its root comes back: take the root of the other factors alone
+        scale = hinv * math.sqrt(model.alpha / (2.0 - model.alpha) * d)
+    return scale
 
 
 def centering_scale(model: TailModel, d: int, n: int) -> float:
@@ -298,6 +327,5 @@ def centering_scale(model: TailModel, d: int, n: int) -> float:
     """
     if model.family != ONE_SIDED_PARETO:
         raise UnsupportedModelError("centering_scale is defined for the one-sided family")
-    _check_depth(d, n)
-    hinv = tail_survival_inv(model, d / n)
+    hinv = _depth_threshold(model, d, n)
     return model.alpha * d ** 1.5 / (n * density(model, hinv))

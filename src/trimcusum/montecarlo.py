@@ -7,8 +7,10 @@ depends on n alone, never on the worker count; each block is one job, sampled
 once and evaluated as a whole, and jobs may run in parallel processes.  A
 critical-value table's blocks depend on its largest n: replicate r at size n
 is the first n values of stream r, so a table draws each replicate once, at
-that n, and every smaller n reads its prefix.  Per-replicate results land in
-replicate order and are reduced once at the end.
+that n, and every smaller n reads its prefix.  The centering and gap
+diagnostics are likewise one pass: each replicate is drawn and trimmed once,
+and one job measures both.  Per-replicate results land in replicate order and
+are reduced once at the end.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from scipy.special import ndtr
 
 from .heavy_tail_models import (
     TailModel,
+    _depth_threshold,
     _quantile_unchecked,
     centering_scale,
     gaussian,
     mean_shift,
     sample_substream,
-    tail_survival_inv,
     truncated_sum_scale,
 )
 from ._streams import SEED_LIMIT, U_FLOOR, stream_generator
@@ -395,10 +397,58 @@ def _ks_to_standard_normal(values: np.ndarray) -> float:
     return float(max((grid - f).max(), (f - (grid - 1.0 / count)).max()))
 
 
-def _centering_job(x: np.ndarray, d: int, seed: int, start: int, model: TailModel):
+def _diagnostic_job(
+    x: np.ndarray, d: int, seed: int, start: int, model: TailModel, threshold: float
+):
+    """Both diagnostics of each row of a block whose row i is replicate
+    start + i, unscaled: the mean shift at the row's trim threshold eta, and
+    the sups of its trimmed-minus-truncated gap terms centered by that shift
+    and uncentered.  `threshold` is the truncation threshold H^-1(d/n).
+
+    A row with d or more draws past the float range has eta = inf and no
+    diagnostic; the first is reported before any arithmetic on it.
+    """
     n = x.shape[1]
-    eta = _trim_rule(x, d)[0]
-    return n * mean_shift(model, eta, d, n) / centering_scale(model, d, n)
+    eta, kept = _trim_rule(x, d)
+    infinite = np.flatnonzero(np.isinf(eta))
+    if infinite.size:
+        raise DegenerateSampleError(
+            f"replicate {start + int(infinite[0])} (master seed {seed}, n={n}, d={d}) has "
+            f"{d} or more draws past the float range, so its trim threshold is inf and it "
+            "has no diagnostic"
+        )
+    terms = _gap_terms(x, kept, threshold)
+    del kept  # freed before the sups take their temporaries of the block
+    shift = mean_shift(model, eta, d, n)
+    return shift, _gap_sup(terms, shift), _gap_sup(terms, 0.0)
+
+
+def _diagnostics(
+    model: TailModel, n: int, d: int, reps: int, seed: int = 0, workers: int = 1,
+    centering: bool = True,
+) -> tuple[DiagnosticSummary | None, GapSummary]:
+    """The centering and gap summaries from one pass: each replicate is drawn,
+    trimmed and measured once (_diagnostic_job), in one pool.
+
+    The scales are scalars, taken once before the pool starts, and each
+    summary divides its half of the pass by its own.  The centering scale is
+    defined for the one-sided family only, so without `centering` it is not
+    taken and the centering summary is None.
+    """
+    center_scale = centering_scale(model, d, n) if centering else None
+    gap_scale = truncated_sum_scale(model, d, n)
+    threshold = _depth_threshold(model, d, n)
+    jobs = _run_blocks(_diagnostic_job, workers, model, n, d, seed, reps, model, threshold)
+    shifts, centered, uncentered = (np.concatenate(col) for col in zip(*jobs))
+    summary = None
+    if centering:
+        vals = n * shifts / center_scale
+        variance = float(np.var(vals, ddof=1)) if reps > 1 else None
+        summary = DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
+    gaps = GapSummary(
+        float(np.median(centered / gap_scale)), float(np.median(uncentered / gap_scale))
+    )
+    return summary, gaps
 
 
 def centering_normality_diagnostic(
@@ -410,19 +460,10 @@ def centering_normality_diagnostic(
     n * mean_shift(threshold) / centering_scale.  For one-sided regularly
     varying densities this is asymptotically standard normal; the summary
     reports the sample mean, sample variance (absent when reps = 1) and the
-    KS distance to N(0, 1).
+    KS distance to N(0, 1).  It is the centering half of _diagnostics, whose
+    pass also measures the gaps.
     """
-    vals = np.concatenate(_run_blocks(_centering_job, workers, model, n, d, seed, reps, model))
-    variance = float(np.var(vals, ddof=1)) if reps > 1 else None
-    return DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
-
-
-def _gap_job(x: np.ndarray, d: int, seed: int, start: int, model: TailModel):
-    n = x.shape[1]
-    eta, terms = _gap_terms(x, d, tail_survival_inv(model, d / n))
-    scale = truncated_sum_scale(model, d, n)
-    centered = _gap_sup(terms, mean_shift(model, eta, d, n)) / scale
-    return centered, _gap_sup(terms, 0.0) / scale
+    return _diagnostics(model, n, d, reps, seed, workers)[0]
 
 
 def trim_truncation_divergence(
@@ -433,9 +474,6 @@ def trim_truncation_divergence(
 
     The centered gap shrinks with n for any Pareto-type model; the uncentered
     one stays bounded away from zero for asymmetric laws, which is exactly the
-    effect of the random centering term.
+    effect of the random centering term.  It is the gap half of _diagnostics.
     """
-    results = _run_blocks(_gap_job, workers, model, n, d, seed, reps, model)
-    centered = np.concatenate([r[0] for r in results])
-    uncentered = np.concatenate([r[1] for r in results])
-    return GapSummary(float(np.median(centered)), float(np.median(uncentered)))
+    return _diagnostics(model, n, d, reps, seed, workers, centering=False)[1]

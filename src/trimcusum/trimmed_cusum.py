@@ -267,10 +267,17 @@ def _trim_one(sample, d: int) -> tuple[np.ndarray, _Rows]:
     return v, _trim_rows(v[None, :], d)
 
 
-def _gap_terms(x: np.ndarray, d: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise trim thresholds eta and X_j * (1{|X_j| <= eta} - 1{|X_j| <= threshold})."""
-    eta, kept = _trim_rule(x, d)
-    return eta, x * (kept.astype(float) - (np.abs(x) <= threshold).astype(float))
+def _gap_terms(x: np.ndarray, kept: np.ndarray, threshold: float) -> np.ndarray:
+    """X_j * (1{|X_j| <= eta} - 1{|X_j| <= threshold}) of each row, given the
+    trim rule's indicator `kept` of |X_j| <= eta.
+
+    The term is selected (X_j, -X_j or 0), not multiplied out, so a draw past
+    the float range, which lies beyond both thresholds, gives 0 and not
+    inf * 0.  Only the sign of zero terms differs from the product.
+    """
+    terms = np.where(kept, x, 0.0)
+    terms -= np.where(np.abs(x) <= threshold, x, 0.0)
+    return terms
 
 
 def _gap_sup(terms: np.ndarray, center) -> np.ndarray:
@@ -289,7 +296,8 @@ def _truncation_sample(sample, threshold: float) -> np.ndarray:
 
 def _gap_row(sample, d: int, threshold: float) -> np.ndarray:
     """_gap_terms of one sample, as a (1, n) block."""
-    return _gap_terms(_truncation_sample(sample, threshold)[None, :], d, threshold)[1]
+    x = _truncation_sample(sample, threshold)[None, :]
+    return _gap_terms(x, _trim_rule(x, d)[1], threshold)
 
 
 def trim(sample, d: int) -> TrimmedSample:

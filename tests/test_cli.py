@@ -371,6 +371,22 @@ def test_diagnose_subcommand(capsys):
     assert doc["gap_medians"]["uncentered"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # replicate 0 holds two draws past the float range: its trim threshold is inf
+        (("--n", "1000", "--alpha", "0.01", "--d", "2", "--reps", "50"), "replicate 0 (master seed 0"),
+        # H^-1(31/1e5) passes the float range at alpha = 0.01
+        (("--n", "100000", "--alpha", "0.01"), "alpha=0.01, d=31, n=100000"),
+    ],
+)
+def test_diagnose_at_an_extreme_tail_index_is_a_usage_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, "diagnose", *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_output_file(capsys, tmp_path, hand_csv):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -443,6 +443,48 @@ def test_centering_scale_compensates_mean_shift_slope():
     assert abs(ratio(1000) - 1.0) < abs(ratio(40_000) - 1.0)
 
 
+def test_norming_constants_of_a_depth_threshold_past_the_float_range_raise():
+    # H^-1(31/1e5) = (31/1e5)**-100 - 1 passes the float range at alpha = 0.01:
+    # a ValueError that names it, not an inf that ends as a NaN or a
+    # ZeroDivisionError
+    one = one_sided_pareto(0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for norming in (
+            lambda: mean_shift(one, 5.0, 31, 100_000),
+            lambda: truncated_sum_scale(one, 31, 100_000),
+            lambda: centering_scale(one, 31, 100_000),
+        ):
+            with pytest.raises(ValueError, match=r"alpha=0\.01, d=31, n=100000"):
+                norming()
+
+
+def test_truncated_sum_scale_whose_square_passes_the_float_range():
+    one = one_sided_pareto(0.02)
+    hinv = tail_survival_inv(one, 31 / 100_000)  # 2.7e175
+    expected = hinv * math.sqrt(0.02 / 1.98 * 31)
+    assert truncated_sum_scale(one, 31, 100_000) == pytest.approx(expected, rel=1e-15)
+
+
+def test_mean_shift_far_below_the_reference_threshold():
+    # at alpha = 0.01, c = H^-1(7/1000) is 8e213, so (t-c)/(1+c) rounds to -1
+    # for every t below 1e197, where log1p would give -inf and the shift inf
+    a = 0.01
+    one = one_sided_pareto(a)
+    c = tail_survival_inv(one, 7 / 1000)
+
+    def g(t):
+        return a / (1 - a) * ((1 + t) ** (1 - a) - 1) + (1 + t) ** -a - 1
+
+    t = np.array([0.0, 1.0, 1e150, c])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        shifts = mean_shift(one, t, 7, 1000)
+        assert mean_shift(one, 1.0, 7, 1000) == shifts[1]
+    assert_allclose(shifts[:3], [g(v) - g(c) for v in t[:3]], rtol=1e-14)
+    assert shifts[3] == 0.0
+
+
 def test_scalar_array_consistency():
     m = two_sided_pareto(1.3, p=0.4)
     t = np.array([-2.0, 0.0, 1.5])

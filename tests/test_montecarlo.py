@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,14 +11,19 @@ from numpy.testing import assert_array_equal
 from trimcusum import (
     ChangeSpec,
     DegenerateSampleError,
+    DiagnosticSummary,
+    GapSummary,
     PowerSpec,
     SimulationSpec,
+    centered_gap_process,
     centering_normality_diagnostic,
+    centering_scale,
     critical_value_table,
     default_trim_depth,
     empirical_quantile,
     gaussian,
     generate_null,
+    mean_shift,
     null_statistics,
     one_sided_pareto,
     power_curve,
@@ -25,6 +31,7 @@ from trimcusum import (
     sample_substream,
     size_under_finite_variance,
     sup_bridge_quantile,
+    tail_survival_inv,
     test_statistic as trimmed_statistic,
     trim,
     trim_truncation_divergence,
@@ -32,6 +39,8 @@ from trimcusum import (
     two_sided_pareto,
 )
 import trimcusum.montecarlo as montecarlo
+from trimcusum import cli
+from trimcusum.heavy_tail_models import ONE_SIDED_PARETO
 from trimcusum.montecarlo import _sample_block, _statistics
 from trimcusum.trimmed_cusum import _trim_rows
 
@@ -451,6 +460,102 @@ def test_trim_truncation_divergence_smoke():
     assert gaps == again
     assert gaps.centered_median > 0.0
     assert gaps.uncentered_median > 0.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [one_sided_pareto(0.7), one_sided_pareto(1.5), two_sided_pareto(1.5, 0.8)],
+    ids=["one-sided-0.7", "one-sided-1.5", "two-sided-p0.8"],
+)
+def test_diagnostics_equal_the_one_sample_definitions(model):
+    # each replicate drawn, trimmed and measured on its own, from the public
+    # one-sample functions; rows longer than 2**14 take long-row blocks
+    n, reps, seed = LONG_N, 9, 5
+    d = default_trim_depth(n)
+    samples = [sample_substream(model, n, seed, r) for r in range(reps)]
+    # the thresholds go to mean_shift as one 1-d array, as the pass does: a
+    # 0-d operand gets numpy's scalar pow, which rounds differently
+    shifts = mean_shift(model, np.array([trim(x, d).threshold for x in samples]), d, n)
+    threshold = tail_survival_inv(model, d / n)
+    scale = truncated_sum_scale(model, d, n)
+    centered = [centered_gap_process(x, d, threshold, c) / scale for x, c in zip(samples, shifts)]
+    uncentered = [centered_gap_process(x, d, threshold, 0.0) / scale for x in samples]
+    gaps = GapSummary(float(np.median(centered)), float(np.median(uncentered)))
+    assert trim_truncation_divergence(model, n, d, reps, seed) == gaps
+    if model.family == ONE_SIDED_PARETO:
+        vals = n * shifts / centering_scale(model, d, n)
+        expected = DiagnosticSummary(
+            float(np.mean(vals)), float(np.var(vals, ddof=1)),
+            montecarlo._ks_to_standard_normal(vals),
+        )
+        assert centering_normality_diagnostic(model, n, d, reps, seed) == expected
+
+
+def test_diagnose_is_one_pass_with_the_summaries_of_each_function_alone(monkeypatch, capsys):
+    # the CLI draws and trims each replicate once, in one pool, and reports
+    # what the two public functions report when each is called alone
+    pools = []
+    run_jobs = montecarlo._run_jobs
+
+    def counted(job, *args):
+        pools.append(job)
+        return run_jobs(job, *args)
+
+    monkeypatch.setattr(montecarlo, "_run_jobs", counted)
+    assert cli.main(["diagnose", "--n", "2000", "--reps", "30", "--seed", "4", "--workers", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(pools) == 1
+    model, d = one_sided_pareto(1.5), default_trim_depth(2000)
+    summary = centering_normality_diagnostic(model, 2000, d, 30, seed=4)
+    gaps = trim_truncation_divergence(model, 2000, d, 30, seed=4)
+    assert montecarlo._diagnostics(model, 2000, d, 30, 4, 2) == (summary, gaps)
+    assert doc["centering"] == {
+        "mean": cli._sig6(summary.mean),
+        "variance": cli._sig6(summary.variance),
+        "ks_to_normal": cli._sig6(summary.ks_to_normal),
+    }
+    assert doc["gap_medians"] == {
+        "centered": cli._sig6(gaps.centered_median),
+        "uncentered": cli._sig6(gaps.uncentered_median),
+    }
+
+
+def test_overflowed_draws_beyond_both_thresholds_give_finite_gaps():
+    # at alpha = 0.02 four replicates each hold one draw past the float range;
+    # it lies beyond both thresholds, so its gap term is 0, not inf * 0 = NaN.
+    # The truncated-sum scale, 2.7e175 * 0.55, must not overflow in its square
+    model, n, d, reps = one_sided_pareto(0.02), 100_000, 31, 60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        overflowed = np.isinf(_sample_block(model, n, 0, 0, reps)).any(axis=1)
+        assert np.flatnonzero(overflowed).tolist() == [20, 29, 56, 57]
+        gaps = trim_truncation_divergence(model, n, d, reps)
+    assert 0.0 < gaps.centered_median < math.inf
+    assert 0.0 < gaps.uncentered_median < math.inf
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_with_an_infinite_trim_threshold_are_named(workers):
+    # at d = 2 replicate 0 holds two draws past the float range, so its trim
+    # threshold is inf; the pass names it before any inf arithmetic warns
+    model = one_sided_pareto(0.01)
+    named = r"^replicate 0 \(master seed 0, n=1000, d=2\) has 2 or more draws past"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for diagnostic in (centering_normality_diagnostic, trim_truncation_divergence):
+            with pytest.raises(DegenerateSampleError, match=named):
+                diagnostic(model, 1000, 2, 50, workers=workers)
+
+
+def test_a_depth_threshold_past_the_float_range_is_a_named_value_error():
+    # H^-1(31/1e5) = (31/1e5)**-100 - 1 passes the float range at alpha = 0.01
+    model = one_sided_pareto(0.01)
+    named = r"alpha=0\.01, d=31, n=100000"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for diagnostic in (centering_normality_diagnostic, trim_truncation_divergence):
+            with pytest.raises(ValueError, match=named):
+                diagnostic(model, 100_000, 31, 4)
 
 
 def test_trim_truncation_divergence_symmetric_control():

@@ -32,6 +32,7 @@ from trimcusum import (
     truncated_cusum_path,
     two_sided_pareto,
 )
+from trimcusum.trimmed_cusum import _gap_terms
 
 HAND_PATH = [0.0, 2.1, 0.2, -0.2, -1.1, 0.0]
 
@@ -402,3 +403,12 @@ def test_centering_invariance_property(values, c):
     y = np.asarray(values)
     scale = max(np.abs(y).sum(), abs(c) * y.size, 1.0)
     assert_allclose(cusum_path(y + c).points, cusum_path(y).points, atol=1e-9 * scale)
+
+
+def test_gap_terms_of_a_draw_past_the_float_range_are_zero():
+    # the draw lies beyond both thresholds: its term is selected as 0, where
+    # the product inf * (0 - 0) would be a NaN
+    x = np.array([[np.inf, 3.0, -2.0, 1.0, 0.5, -np.inf]])
+    with np.errstate(all="raise"):
+        terms = _gap_terms(x, np.abs(x) <= 2.0, 1.0)
+    assert_array_equal(terms, [[0.0, 0.0, -2.0, 0.0, 0.0, 0.0]])
