@@ -311,12 +311,9 @@ def truncated_sum_scale(model: TailModel, d: int, n: int) -> float:
     if not model.is_pareto:
         raise UnsupportedModelError("truncated_sum_scale requires Pareto-type tails")
     hinv = _depth_threshold(model, d, n)
-    scale = math.sqrt(model.alpha / (2.0 - model.alpha) * hinv * hinv * d)
-    if math.isinf(scale):
-        # the square of H^-1 passes the float range (scale > 1.3e154) before
-        # its root comes back: take the root of the other factors alone
-        scale = hinv * math.sqrt(model.alpha / (2.0 - model.alpha) * d)
-    return scale
+    # H^-1 stays outside the root: its square passes the float range once the
+    # scale is past 1.3e154, as it is at small tail indices
+    return hinv * math.sqrt(model.alpha / (2.0 - model.alpha) * d)
 
 
 def centering_scale(model: TailModel, d: int, n: int) -> float:
