@@ -2,15 +2,15 @@
 
 Replicate r of a run always draws from substream r of the master seed, so every
 aggregate is a pure function of its spec and is bit-identical however the
-replicates are scheduled.  Replicates are split into blocks whose row count
-depends on n alone, never on the worker count; each block is one job, sampled
-once and evaluated as a whole, and jobs may run in parallel processes.  A
-critical-value table's blocks depend on its largest n: replicate r at size n
-is the first n values of stream r, so a table draws each replicate once, at
-that n, and every smaller n reads its prefix.  The centering and gap
-diagnostics are likewise one pass: each replicate is drawn and trimmed once,
-and one job measures both.  Per-replicate results land in replicate order and
-are reduced once at the end.
+replicates are scheduled.  Every run, one n or a table of several, is one pass
+of one job shape (_job, through _run_jobs): replicate r at size n is the first
+n values of stream r, so a job draws its replicates once, at the run's largest
+n, into one staging array of _JOB_BLOCKS sample blocks, and every n measures
+slices of at most one sample block of that n read from it.  Row counts depend
+on the sizes alone, never on the worker count, and jobs may run in parallel
+processes.  The measures (the statistic, power counts, both diagnostics from
+one trim) return per-replicate results in replicate order, reduced once at the
+end.
 """
 
 from __future__ import annotations
@@ -61,8 +61,21 @@ __all__ = [
 # Shift levels used for power curves: -3.0, -2.9, ..., 2.9, 3.0.
 DEFAULT_SHIFT_GRID: tuple[float, ...] = tuple(i / 10 for i in range(-30, 31))
 
-# Elements per block for rows longer than _BLOCK_ELEMS (see _block_rows).
-_LONG_ROW_ELEMS = 1 << 22
+# Sample blocks of the largest n per job.  At n = 100, 200, 400, 800 a job is
+# 80 rows, drawn in place as one 500 KB staging array in four blocks of 20
+# rows, and its kernel slices are 80, 80, 40 and 20 rows; at n = 1e5 it is 4
+# rows, 3.2 MB.  glibc trims the top of its heap once the free space there
+# reaches twice the largest mapped chunk it has freed, which is the staging
+# array; a job's other temporaries, at most about three blocks (the
+# kernel's), stay smaller than the array, so the heap is not trimmed and
+# grown back page by page between jobs.
+_JOB_BLOCKS = 4
+
+
+def _check_critical_value(critical_value: float) -> None:
+    """The critical-value contract: positive, so not NaN."""
+    if not critical_value > 0.0:
+        raise ValueError("critical_value must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,10 +156,12 @@ class PowerSpec:
         object.__setattr__(self, "change_at", _integer(self.change_at, "change_at"))
         if not 1 <= self.change_at < self.base.n:
             raise ValueError("change_at must satisfy 1 <= k < n")
-        if not self.critical_value > 0.0:
-            raise ValueError("critical_value must be positive")
+        _check_critical_value(self.critical_value)
         if not self.shift_grid:
             raise ValueError("shift_grid must be nonempty")
+        for shift in self.shift_grid:
+            if not math.isfinite(shift):
+                raise ValueError(f"shift_grid entries must be finite, got {shift}")
 
 
 @dataclass(frozen=True)
@@ -209,81 +224,16 @@ def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
 
 
 def _block_rows(n: int) -> int:
-    """Rows of a sample block of length-n rows.
-
-    A block holds _BLOCK_ELEMS values, 128 KiB of doubles, so that it and
-    every temporary the kernel makes from it stay in L2 cache (see
-    _BLOCK_ELEMS).  A row longer than that cannot stay in cache, and a block
-    of one such row would fault in every temporary once per replicate, so
-    long rows keep blocks of _LONG_ROW_ELEMS values (32 MB).
-    """
-    return _BLOCK_ELEMS // n if n <= _BLOCK_ELEMS else max(1, _LONG_ROW_ELEMS // n)
+    """Rows of a sample block of length-n rows: _BLOCK_ELEMS values (see
+    there), or one row if a row is longer."""
+    return max(1, _BLOCK_ELEMS // n)
 
 
-def _call(payload):
-    job, *args = payload
-    return job(*args)
-
-
-def _run_jobs(job, workers: int, total: int, rows: int, *args) -> list:
-    """job(start, count, *args) of each run of `rows` replicates, in replicate
-    order.
-
-    Replicates 0..total-1 are split into runs of a row count the caller fixes
-    from the sample sizes, never from the worker count, so results never
-    depend on it: a single n's job is one sample block of _block_rows(n) rows
-    (_run_blocks), and a table's jobs are sized from its largest n
-    (critical_value_table).  The pool takes the jobs in chunks, about four
-    per worker, so that small jobs do not each pay an inter-process round
-    trip.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if total < 1:
-        raise ValueError("reps must be at least 1")
-    payloads = [
-        (job, start, min(rows, total - start), *args) for start in range(0, total, rows)
-    ]
-    if workers == 1 or len(payloads) <= 1:
-        return [_call(p) for p in payloads]
-    chunksize = -(-len(payloads) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, payloads, chunksize=chunksize))
-
-
-def _block_job(start, count, fn, model, n, d, seed, *extra):
-    return fn(_sample_block(model, n, seed, start, count), d, seed, start, *extra)
-
-
-def _run_blocks(
-    fn, workers: int, model: TailModel, n: int, d: int, seed: int, total: int, *extra
-) -> list:
-    """fn(block, d, seed, start, *extra) of each sample block of length-n rows,
-    in replicate order."""
-    _check_depth(d, n)
-    return _run_jobs(_block_job, workers, total, _block_rows(n), fn, model, n, d, seed, *extra)
-
-
-def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
-    """The N replicated test statistics under the no-change hypothesis."""
-    jobs = _run_blocks(
-        _statistics, workers, spec.model, spec.n, spec.trim_depth, spec.master_seed,
-        spec.replications,
-    )
-    return np.concatenate(jobs)
-
-
-def rejection_rate(spec: SimulationSpec, critical_value: float, workers: int = 1) -> float:
-    """Fraction of null replicates whose statistic exceeds the critical value."""
-    stats = null_statistics(spec, workers)
-    return int(np.count_nonzero(stats > critical_value)) / spec.replications
-
-
-def _table_job(start, count, model, sizes, depths, seed):
-    """Statistics of replicates start..start+count-1 at each of `sizes`
-    (distinct, ascending) as a (len(sizes), count) array, and for each size
-    the DegenerateSampleError of its lowest replicate without a statistic,
-    or None.
+def _job(start, count, model, sizes, depths, seed, measure, *extra):
+    """measure(slice, d, seed, first replicate, *extra) of replicates
+    start..start+count-1 at each of `sizes` (distinct, ascending) with its
+    depth, as one list of slice results per size, and for each size the
+    DegenerateSampleError of its lowest replicate without a result, or None.
 
     Replicate r at size n is the first n values of stream r, so each replicate
     is drawn once, at the largest size, one sample block at a time, and each
@@ -294,17 +244,80 @@ def _table_job(start, count, model, sizes, depths, seed):
     rows = _block_rows(top)
     for lo in range(0, count, rows):
         _sample_block(model, top, seed, start + lo, min(rows, count - lo), out=x[lo : lo + rows])
-    stats = np.empty((len(sizes), count))
-    errors = [None] * len(sizes)
-    for k, (n, d) in enumerate(zip(sizes, depths)):
+    results, errors = [], []
+    for n, d in zip(sizes, depths):
+        out, error = [], None
         rows = _block_rows(n)
         for lo in range(0, count, rows):
             try:
-                stats[k, lo : lo + rows] = _statistics(x[lo : lo + rows, :n], d, seed, start + lo)
+                out.append(measure(x[lo : lo + rows, :n], d, seed, start + lo, *extra))
             except DegenerateSampleError as err:
-                errors[k] = err
+                error = err
                 break
-    return stats, errors
+        results.append(out)
+        errors.append(error)
+    return results, errors
+
+
+def _call(payload):
+    return _job(*payload)
+
+
+def _run_jobs(
+    measure, workers: int, model: TailModel, depths: dict, seed: int, total: int, *extra
+) -> dict:
+    """measure's results for replicates 0..total-1 at each size n of `depths`
+    ({n: d}, in the caller's order), as {n: slice results in replicate order}.
+
+    Every run is one pass of _job: a job draws _JOB_BLOCKS sample blocks of
+    the largest n, so its row count depends on the sizes alone, never on the
+    worker count, and results never depend on it.  The error raised is the
+    one a loop over the sizes in the caller's order would meet first: that of
+    the first n with a replicate without a result, at its lowest replicate.
+    The pool takes the jobs in chunks, about four per worker, so that small
+    jobs do not each pay an inter-process round trip.
+    """
+    for n, d in depths.items():
+        _check_depth(d, n)
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if total < 1:
+        raise ValueError("reps must be at least 1")
+    sizes = sorted(depths)
+    rows = _block_rows(sizes[-1]) * _JOB_BLOCKS
+    args = (model, sizes, [depths[n] for n in sizes], seed, measure, *extra)
+    payloads = [(start, min(rows, total - start), *args) for start in range(0, total, rows)]
+    if workers == 1 or len(payloads) <= 1:
+        jobs = [_call(p) for p in payloads]
+    else:
+        chunksize = -(-len(payloads) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            jobs = list(pool.map(_call, payloads, chunksize=chunksize))
+    slices = {}
+    for n in depths:
+        k = sizes.index(n)
+        for _, errors in jobs:
+            if errors[k] is not None:
+                raise errors[k]
+        slices[n] = [r for results, _ in jobs for r in results[k]]
+    return slices
+
+
+def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
+    """The N replicated test statistics under the no-change hypothesis."""
+    jobs = _run_jobs(
+        _statistics, workers, spec.model, {spec.n: spec.trim_depth}, spec.master_seed,
+        spec.replications,
+    )
+    return np.concatenate(jobs[spec.n])
+
+
+def rejection_rate(spec: SimulationSpec, critical_value: float, workers: int = 1) -> float:
+    """Fraction of null replicates whose statistic exceeds the critical value."""
+    _check_critical_value(critical_value)
+    stats = null_statistics(spec, workers)
+    return int(np.count_nonzero(stats > critical_value)) / spec.replications
 
 
 def critical_value_table(
@@ -315,38 +328,19 @@ def critical_value_table(
 
     Each row equals empirical_quantile(null_statistics(replace(spec, n=n))),
     but the whole list is one pass: a replicate is drawn once, at the largest
-    n, and every smaller n reads its prefix (_table_job).
+    n, and every smaller n reads its prefix (_job).
     """
     n_list = [_integer(n, "n_list entry") for n in n_list]
     depths = {n: replace(spec, n=n).trim_depth for n in n_list}
     quantiles = {}
     if depths:
-        sizes = sorted(depths)
-        top = sizes[-1]
-        # four sample blocks of the largest n, or one long-row block: at
-        # n = 100, 200, 400, 800 a job is 80 rows, drawn in place as one
-        # 500 KB array in four blocks of 20 rows, and its kernel slices are
-        # 80, 80, 40 and 20 rows.  glibc trims the top of its heap once the
-        # free space there reaches twice the largest mapped chunk it has
-        # freed, which is this array; a job's other temporaries, at most
-        # about three blocks (the kernel's), stay smaller than the array, so
-        # the heap is not trimmed and grown back page by page between jobs.
-        job_rows = _block_rows(top) * (4 if top <= _BLOCK_ELEMS else 1)
         jobs = _run_jobs(
-            _table_job, workers, spec.replications, job_rows, spec.model, sizes,
-            [depths[n] for n in sizes], spec.master_seed,
+            _statistics, workers, spec.model, depths, spec.master_seed, spec.replications
         )
-        # the error the per-n loop would meet first: the first n in list
-        # order that has one, at its lowest replicate
-        for n in n_list:
-            k = sizes.index(n)
-            for _, errors in jobs:
-                if errors[k] is not None:
-                    raise errors[k]
-        stats = np.concatenate([s for s, _ in jobs], axis=1)
-        for k, n in enumerate(sizes):
-            stats[k].sort()
-            quantiles[n] = _sorted_quantile_and_error(stats[k], spec.level)[0]
+        for n, slices in jobs.items():
+            stats = np.concatenate(slices)
+            stats.sort()
+            quantiles[n] = _sorted_quantile_and_error(stats, spec.level)[0]
     rows = [(float(n), quantiles[n]) for n in n_list]
     rows.append((math.inf, sup_bridge_quantile(spec.level)))
     return rows
@@ -371,11 +365,11 @@ def power_curve(spec: PowerSpec, workers: int = 1) -> list[tuple[float, float]]:
     curves for different change locations or levels are directly comparable.
     """
     base = spec.base
-    jobs = _run_blocks(
-        _power_job, workers, base.model, base.n, base.trim_depth, base.master_seed,
+    jobs = _run_jobs(
+        _power_job, workers, base.model, {base.n: base.trim_depth}, base.master_seed,
         base.replications, spec.change_at, spec.shift_grid, spec.critical_value,
     )
-    counts = sum(jobs)
+    counts = sum(jobs[base.n])
     return [
         (shift, int(c) / base.replications) for shift, c in zip(spec.shift_grid, counts)
     ]
@@ -435,11 +429,13 @@ def _diagnostics(
     defined for the one-sided family only, so without `centering` it is not
     taken and the centering summary is None.
     """
+    n, d = _integer(n, "n"), _integer(d, "d")
+    reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
     center_scale = centering_scale(model, d, n) if centering else None
     gap_scale = truncated_sum_scale(model, d, n)
     threshold = _depth_threshold(model, d, n)
-    jobs = _run_blocks(_diagnostic_job, workers, model, n, d, seed, reps, model, threshold)
-    shifts, centered, uncentered = (np.concatenate(col) for col in zip(*jobs))
+    jobs = _run_jobs(_diagnostic_job, workers, model, {n: d}, seed, reps, model, threshold)
+    shifts, centered, uncentered = (np.concatenate(col) for col in zip(*jobs[n]))
     summary = None
     if centering:
         vals = n * shifts / center_scale

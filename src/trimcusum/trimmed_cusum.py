@@ -44,8 +44,9 @@ __all__ = [
 # size changes no bit of any result; it sets how many rows share one numpy
 # call, whose fixed cost (about 19 us for a _trim_rows call) dominates short
 # rows.  A block and the kernel's temporaries of it, about three blocks, fit
-# in L2 cache (2 MB a core on the benchmark host).  How the heap serves
-# blocks of this size is set out at critical_value_table's job size.
+# in L2 cache (2 MB a core on the benchmark host).  A row longer than a block
+# is a block of one row.  How the heap serves a Monte Carlo job's blocks is
+# set out at montecarlo._JOB_BLOCKS.
 _BLOCK_ELEMS = 1 << 14
 
 
@@ -147,49 +148,46 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _tie_down_weights(n: int, c: int) -> np.ndarray:
-    """k/n for k = n - c + 1..n, read-only, as _tie_down uses it."""
-    weights = np.arange(n + 1 - c, n + 1) / n
+def _tie_down_weights(n: int) -> np.ndarray:
+    """k/n for k = 1..n, read-only, as _tie_down uses it."""
+    weights = np.arange(1, n + 1) / n
     weights.flags.writeable = False
     return weights
 
 
 def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
-    """S_k - S_n * (k/n), in place, on each row of partial sums of n terms.
-    The c columns of sums hold S_k for k = n - c + 1..n: c = n + 1 with a
-    leading S_0, or c = n.  Callers pass a whole contiguous block, not a
-    column slice, which numpy would loop over row by row."""
+    """S_k - S_n * (k/n), in place, on each row of partial sums S_1..S_n of
+    n terms.  Callers pass a whole contiguous block, not a column slice of
+    several rows, which numpy would loop over row by row."""
     # einsum's outer product allocates no broadcasting buffers, where
     # multiply would add two of 64 KiB to a block's temporaries; it gives the
     # same products, but +0.0 for -0.0
-    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n, sums.shape[1]))
+    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n))
     return sums
 
 
 def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The path step: writes the tied-down partial sums S_k - (k/n) S_n of each
-    row of an (R, n) block into `out` and returns the row-wise max modulus
-    times 2**-exponent.
+    """The path step: writes the tied-down partial sums S_k - (k/n) S_n,
+    k = 1..n, of each row of an (R, n) block into the (R, n) array `out` and
+    returns the row-wise max modulus times 2**-exponent.
 
-    `out` holds k = 1..n (n columns), or k = 0..n (n + 1 columns, the first
-    zero).  The k = 0 and k = n sums are exactly zero: S_n is computed once and
-    k/n is exactly 1 at k = n, so the subtraction cancels bit-for-bit.  A row
-    whose sup is not finite is summed again on y * 2**-exponent and its sums
-    scaled back: where 2**exponent exceeds its max modulus, its scaled sup is
-    finite and its sums are inf only past the float range.
+    The k = n sum is exactly zero: S_n is computed once and k/n is exactly 1
+    at k = n, so the subtraction cancels bit-for-bit.  A row whose sup is not
+    finite is summed again on y * 2**-exponent and its sums scaled back: where
+    2**exponent exceeds its max modulus, its scaled sup is finite and its sums
+    are inf only past the float range.
 
     Sums past the float range overflow, and a tie-down of inf sums is
     invalid, so the caller must hold np.errstate(over="ignore",
     invalid="ignore") around the call; _path_sup opens none of its own.
     """
     n = y.shape[1]
-    np.add.accumulate(y, axis=1, out=out[:, out.shape[1] - n :])
+    np.add.accumulate(y, axis=1, out=out)
     sup = np.ldexp(np.maximum.reduce(np.abs(_tie_down(out, n)), axis=1), -exponent)
     if not np.isfinite(sup).all():
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
         if big.any():
-            # into zeros: a leading S_0 column of out is NaN now (0 - inf * 0)
-            redo = np.zeros((np.count_nonzero(big), out.shape[1]))
+            redo = np.empty((np.count_nonzero(big), n))
             scaled = np.ldexp(y[big], -exponent[big, None])
             sup[big] = _path_sup(scaled, np.zeros_like(exponent[big]), redo)
             out[big] = np.ldexp(redo, exponent[big, None])
@@ -328,11 +326,11 @@ def cusum_path(terms) -> CusumPath:
     e = np.frexp(np.abs(y).max(keepdims=True))[1]
     points = np.zeros((1, y.size + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        _path_sup(y[None, :], e, points)
+        _path_sup(y[None, :], e, points[:, 1:])
         k = int(np.abs(points[0]).argmax())
         if not np.isfinite(points[0, k]):
             scaled = np.zeros_like(points)
-            _path_sup(np.ldexp(y, -e)[None, :], np.zeros_like(e), scaled)
+            _path_sup(np.ldexp(y, -e)[None, :], np.zeros_like(e), scaled[:, 1:])
             k = int(np.abs(scaled[0]).argmax())
     return CusumPath(points[0], float(np.abs(points[0, k])), k)
 

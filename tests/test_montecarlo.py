@@ -88,6 +88,42 @@ def test_table_rejects_a_non_integer_size_by_name(convert):
         critical_value_table(spec, [40, convert(100)])
 
 
+@pytest.mark.parametrize("workers", [2.5, "2", 1.0])
+def test_every_entry_point_rejects_a_non_integer_workers_by_name(workers):
+    # the check must not depend on whether a pool starts (2000 replicates)
+    # or the run is one job (50)
+    small = SimulationSpec(MODEL, n=100, replications=50)
+    pspec = PowerSpec(base=small, change_at=50, critical_value=1.3, shift_grid=(0.0,))
+    runs = [
+        lambda: null_statistics(small, workers),
+        lambda: null_statistics(replace(small, replications=2000), workers),
+        lambda: critical_value_table(small, [40, 100], workers),
+        lambda: power_curve(pspec, workers),
+        lambda: montecarlo._diagnostics(one_sided_pareto(1.5), 100, 3, 5, workers=workers),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=rf"^workers must be an integer, got {workers!r}$"):
+            run()
+
+
+@pytest.mark.parametrize("field", ["n", "d", "reps", "seed"])
+@pytest.mark.parametrize(
+    "diagnostic", [centering_normality_diagnostic, trim_truncation_divergence]
+)
+def test_diagnostics_reject_a_non_integer_argument_by_name(diagnostic, field):
+    args = {"n": 200, "d": 3, "reps": 5, "seed": 2}
+    args[field] += 0.5 if field == "n" else 0.0
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        diagnostic(one_sided_pareto(1.5), **args)
+
+
+def test_diagnostics_take_numpy_integers_as_ints():
+    model = one_sided_pareto(1.5)
+    assert trim_truncation_divergence(
+        model, np.int64(200), np.int32(3), np.int64(5), np.int64(2)
+    ) == trim_truncation_divergence(model, 200, 3, 5, 2)
+
+
 def test_table_takes_numpy_integer_sizes():
     spec = SimulationSpec(MODEL, n=40, replications=50, master_seed=3)
     assert critical_value_table(spec, [np.int64(80), np.int32(40)]) == critical_value_table(
@@ -185,7 +221,7 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
     assert power_curve(pspec, workers) == expected
 
 
-LONG_N = 20_000  # above 2**14, so its blocks hold _LONG_ROW_ELEMS // n rows
+LONG_N = 20_000  # above 2**14, so its sample blocks hold one row
 
 
 BLOCK_SPEC = SimulationSpec(MODEL, n=60, replications=1500, master_seed=8)
@@ -217,14 +253,15 @@ def default_block_results():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
-    "block_elems, long_row_elems",
-    [(1 << 14, 1 << 22), (1 << 13, 1 << 22), (1 << 22, 1 << 22), (1 << 14, 3 * LONG_N)],
+    "block_elems, job_blocks",
+    # 3 * LONG_N: long rows get blocks of three rows
+    [(1 << 14, 4), (1 << 13, 4), (1 << 22, 4), (3 * LONG_N, 4), (1 << 14, 1), (1 << 14, 3)],
 )
 def test_results_do_not_depend_on_block_size_or_workers(
-    monkeypatch, default_block_results, workers, block_elems, long_row_elems
+    monkeypatch, default_block_results, workers, block_elems, job_blocks
 ):
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", block_elems)
-    monkeypatch.setattr(montecarlo, "_LONG_ROW_ELEMS", long_row_elems)
+    monkeypatch.setattr(montecarlo, "_JOB_BLOCKS", job_blocks)
     nulls, power, long_nulls, centering, gaps, table = block_results(workers)
     assert_array_equal(nulls, default_block_results[0])
     assert power == default_block_results[1]
@@ -312,27 +349,38 @@ def test_table_memory_stays_within_a_few_sample_blocks():
     assert peak < 1 << 20
 
 
-def test_table_job_temporaries_stay_below_its_staging_array(monkeypatch):
+# A table's short rows, and diagnose's long rows (4 rows of 1e5 a job, 3.2 MB).
+# Power is left out: _power_job copies its sample block, which puts it about
+# 534 KB over a 512 KB staging array at n = 400.
+STAGED_RUNS = {
+    "table": lambda: critical_value_table(
+        SimulationSpec(MODEL, 100, 2000), [100, 200, 400, 800]
+    ),
+    "diagnose": lambda: montecarlo._diagnostics(one_sided_pareto(1.5), 100_000, 31, 8),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STAGED_RUNS))
+def test_job_temporaries_stay_below_its_staging_array(monkeypatch, run):
     # glibc trims the top of its heap once the free space there reaches twice
     # the largest mapped chunk it has freed, here a job's staging array; while
     # a job's other temporaries stay below that array, the heap is never
     # trimmed and grown again, page by page, between jobs
-    spec = SimulationSpec(MODEL, 100, 2000)
-    job, peaks = montecarlo._table_job, []
+    job, peaks = montecarlo._job, []
 
-    def traced_job(start, count, model, sizes, depths, seed):
+    def traced_job(start, count, model, sizes, *args):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        result = job(start, count, model, sizes, depths, seed)
+        result = job(start, count, model, sizes, *args)
         peaks.append((count * sizes[-1] * 8, tracemalloc.get_traced_memory()[1] - before))
         return result
 
-    monkeypatch.setattr(montecarlo, "_table_job", traced_job)
-    critical_value_table(spec, [100, 200, 400, 800])  # warm-up
+    monkeypatch.setattr(montecarlo, "_job", traced_job)
+    STAGED_RUNS[run]()  # warm-up
     peaks.clear()
     tracemalloc.start()
     try:
-        critical_value_table(spec, [100, 200, 400, 800])
+        STAGED_RUNS[run]()
     finally:
         tracemalloc.stop()
     assert peaks
@@ -400,6 +448,16 @@ def test_rejection_rate_bounds():
     assert rejection_rate(spec, 1e9) == 0.0
 
 
+@pytest.mark.parametrize("crit", [math.nan, 0.0, -1.0])
+def test_rejection_rate_rejects_a_critical_value_power_rejects(crit):
+    # a NaN critical value used to give a rate of 0.0
+    spec = SimulationSpec(MODEL, n=40, replications=50)
+    with pytest.raises(ValueError, match="^critical_value must be positive$"):
+        rejection_rate(spec, crit)
+    with pytest.raises(ValueError, match="^critical_value must be positive$"):
+        PowerSpec(base=spec, change_at=20, critical_value=crit)
+
+
 def test_power_curve_zero_shift_equals_null_rate():
     # the c = 0 grid point embeds the no-change model on the same streams
     spec = SimulationSpec(MODEL, n=60, replications=500, master_seed=8)
@@ -432,6 +490,15 @@ def test_power_spec_validation():
         PowerSpec(base=spec, change_at=30.0, critical_value=1.3)
     pspec = PowerSpec(base=spec, change_at=np.int64(30), critical_value=1.3)
     assert type(pspec.change_at) is int
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_power_spec_rejects_a_non_finite_shift_by_value(shift):
+    # such a shift used to surface as a DegenerateSampleError blaming
+    # replicate 0 of the sample
+    spec = SimulationSpec(MODEL, n=60, replications=10)
+    with pytest.raises(ValueError, match=rf"^shift_grid entries must be finite, got {shift}$"):
+        PowerSpec(base=spec, change_at=30, critical_value=1.3, shift_grid=(0.5, shift))
 
 
 def test_size_under_finite_variance_smoke():
@@ -469,7 +536,7 @@ def test_trim_truncation_divergence_smoke():
 )
 def test_diagnostics_equal_the_one_sample_definitions(model):
     # each replicate drawn, trimmed and measured on its own, from the public
-    # one-sample functions; rows longer than 2**14 take long-row blocks
+    # one-sample functions; rows longer than 2**14 are sample blocks of one row
     n, reps, seed = LONG_N, 9, 5
     d = default_trim_depth(n)
     samples = [sample_substream(model, n, seed, r) for r in range(reps)]
