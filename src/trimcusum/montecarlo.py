@@ -275,7 +275,9 @@ def _run_jobs(
     one a loop over the sizes in the caller's order would meet first: that of
     the first n with a replicate without a result, at its lowest replicate.
     The pool takes the jobs in chunks, about four per worker, so that small
-    jobs do not each pay an inter-process round trip.
+    jobs do not each pay an inter-process round trip.  A serial run stops at
+    the first job with an error at the first n: earlier jobs had none there,
+    and later jobs hold only higher replicates, so that error is raised.
     """
     for n, d in depths.items():
         _check_depth(d, n)
@@ -289,7 +291,12 @@ def _run_jobs(
     args = (model, sizes, [depths[n] for n in sizes], seed, measure, *extra)
     payloads = [(start, min(rows, total - start), *args) for start in range(0, total, rows)]
     if workers == 1 or len(payloads) <= 1:
-        jobs = [_call(p) for p in payloads]
+        first = sizes.index(next(iter(depths)))
+        jobs = []
+        for payload in payloads:
+            jobs.append(_call(payload))
+            if jobs[-1][1][first] is not None:
+                break
     else:
         chunksize = -(-len(payloads) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,14 +13,15 @@ b.  The critical value works through the replicates in blocks of about 128 KiB
 of drawn values (trimmed_cusum._BLOCK_ELEMS, the size of montecarlo's sample
 blocks), and one path step serves every row of a block.  A block holds its
 replicates in pairs, replicates 2i and 2i + 1 as the real and imaginary lanes
-of one complex128 row, so that one complex cumulative sum runs two
-independent add chains per pass; each lane's sums are the same IEEE
-adds in the same order as a real row's, so the layout changes no bit.  A
-bootstrap block takes each replicate's raw Philox words, applies numpy's own
-bounded-integer rule to the whole block at once, writing each replicate's
-indices straight into its lane, and gathers the values in one call.  A
-permutation block copies x into every lane and shuffles each lane in place
-on its stream: ``permutation(n)`` is the same shuffle applied to
+of one complex128 row, and sums them through the helper that the Monte Carlo
+kernel's path step also uses (trimmed_cusum._pair_sums): one complex
+cumulative sum runs two independent add chains per pass, and each lane's
+sums are the same IEEE adds in the same order as a real row's, so the layout
+changes no bit.  A bootstrap block takes each replicate's raw Philox words,
+applies numpy's own bounded-integer rule to the whole block at once, writing
+each replicate's indices straight into its lane, and gathers the values in
+one call.  A permutation block copies x into every lane and shuffles each
+lane in place on its stream: ``permutation(n)`` is the same shuffle applied to
 ``arange(n)``, so the shuffled lane is the permuted sample without an index
 array or a gather.
 """
@@ -34,8 +35,8 @@ import numpy as np
 
 from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
-    _BLOCK_ELEMS, CusumPath, DegenerateSampleError, _Rows, _integer, _tie_down, _trim_one,
-    cusum_path, trim,
+    _BLOCK_ELEMS, CusumPath, DegenerateSampleError, _Rows, _integer, _pair_sums, _tie_down,
+    _trim_one, cusum_path, trim,
 )
 
 __all__ = [
@@ -253,15 +254,14 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     """resampled_critical_value of the kernel's one-row output.  Replicate b
     draws from its own stream.
 
-    Each block of an even number of replicates is drawn in pairs into one
-    reused buffer (_draw_pairs), each pair the real and imaginary lanes of
-    one complex128 row.  One complex cumulative sum then runs two independent
-    add chains per pass, with each lane's adds in the real sum's order, so the
-    sums are bit-identical to those of one replicate at a time.  They are
-    copied out lane by lane into a contiguous (rows, m) buffer, as _tie_down
-    needs a whole block, tied down, and reduced to their row sups.  An odd B
-    leaves the last pair's second lane unused: its values are finite and its
-    sup is never read.
+    Each block of replicates is drawn in pairs into one reused buffer
+    (_draw_pairs), each pair the real and imaginary lanes of one complex128
+    row.  _pair_sums, the Monte Carlo path step's helper, sums both lanes in
+    one complex cumulative sum, bit-identical to one replicate at a time, and
+    copies them out lane by lane into a contiguous (rows, m) buffer, as
+    _tie_down needs a whole block; they are tied down and reduced to their
+    row sups.  An odd B leaves the last pair's second lane unused: its values
+    are finite and never read.
     """
     if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
@@ -275,17 +275,13 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     width = _block_width(plan, x.size)
     pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (b_total + 1) // 2)
     lanes = np.empty((pairs, width, 2))
-    paired = lanes.view(np.complex128)[:, :m, 0]
     sums = np.empty((2 * pairs, m))
     source = _draw_source(x, plan)
     stats = np.empty(b_total)
     for start in range(0, b_total, 2 * pairs):
         stop = min(start + 2 * pairs, b_total)
-        h = (stop - start + 1) // 2
         _draw_pairs(source, plan, start, stop, lanes)
-        np.add.accumulate(paired[:h], axis=1, out=paired[:h])
-        np.copyto(sums[: 2 * h].reshape(h, 2, m), lanes[:h, :m].transpose(0, 2, 1))
-        path = _tie_down(sums[: stop - start], m)
+        path = _tie_down(_pair_sums(lanes[:, :m], stop - start, sums), m)
         np.maximum.reduce(np.abs(path, out=path), axis=1, out=stats[start:stop])
     stats /= math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(m)
     stats.sort()

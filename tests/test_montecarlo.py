@@ -19,6 +19,7 @@ from trimcusum import (
     centering_normality_diagnostic,
     centering_scale,
     critical_value_table,
+    cusum_path,
     default_trim_depth,
     empirical_quantile,
     gaussian,
@@ -115,6 +116,24 @@ def test_diagnostics_reject_a_non_integer_argument_by_name(diagnostic, field):
     args[field] += 0.5 if field == "n" else 0.0
     with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
         diagnostic(one_sided_pareto(1.5), **args)
+
+
+BOOLS = [True, False, np.True_, np.False_]
+
+
+@pytest.mark.parametrize("flag", BOOLS)
+def test_spec_rejects_a_bool_seed_by_name(flag):
+    # a Python bool is an int: master_seed=True used to run seed 1
+    with pytest.raises(ValueError, match=rf"^master_seed must be an integer, got {flag!r}$"):
+        SimulationSpec(MODEL, n=100, replications=50, master_seed=flag)
+
+
+@pytest.mark.parametrize("flag", BOOLS)
+def test_null_statistics_reject_a_bool_workers_by_name(flag):
+    # workers=True used to run one worker
+    spec = SimulationSpec(MODEL, n=100, replications=50)
+    with pytest.raises(ValueError, match=rf"^workers must be an integer, got {flag!r}$"):
+        null_statistics(spec, flag)
 
 
 def test_diagnostics_take_numpy_integers_as_ints():
@@ -291,6 +310,29 @@ def test_partial_sums_past_the_float_range_give_the_scaled_statistic():
     assert_array_equal(stats, _statistics(np.ldexp(x, -1000), 1, 0, 0))
 
 
+def test_overflowing_rows_in_paired_lanes_give_the_one_sample_sups():
+    # the path step sums rows 2i and 2i + 1 as the two lanes of one pair and
+    # an odd last row beside a zero lane; here row 1 (the second lane of a
+    # pair) and row 4 (the unpaired last row) have partial sums past the
+    # float range, so the fallback sums them again at 2**-e, next to rows
+    # that need no fallback
+    row = np.zeros(16)
+    row[[0, 1]], row[[8, 9]] = 1e308, -1e308
+    x = np.random.default_rng(5).standard_cauchy((5, 16))
+    x[1], x[4] = row, -row[::-1]
+    with np.errstate(over="ignore"):
+        assert [np.isinf(np.cumsum(v)).any() for v in x] == [False, True, False, False, True]
+    stats = _statistics(x, 1, 0, 0)
+    assert_array_equal(stats, [trimmed_statistic(v, 1) for v in x])
+    assert_array_equal(stats, _statistics(np.ldexp(x, -1000), 1, 0, 0))
+    rows = _trim_rows(x, 1)
+    for i, e in enumerate(rows.exponent):
+        assert rows.scaled_sup[i] == cusum_path(np.ldexp(rows.values[i], -e)).sup_abs
+        with np.errstate(over="ignore"):  # the overflowing rows' sups are inf unscaled
+            assert np.ldexp(rows.scaled_sup[i], e) == cusum_path(rows.values[i]).sup_abs
+    assert np.all(np.isfinite(rows.scaled_sup))
+
+
 def test_overflowing_draws_raise_instead_of_nan():
     # alpha = 0.01 draws overflow to inf, so the trimmed sum of squares is NaN
     spec = SimulationSpec(two_sided_pareto(0.01), n=100_000, replications=4)
@@ -330,6 +372,45 @@ def test_table_raises_the_error_of_the_first_n_in_list_order(workers, n_list):
             critical_value_table(spec, n_list, workers)
     assert f"n={n_list[0]}, d=2)" in str(first.value)
     assert str(raised.value) == str(first.value)
+
+
+def counting_jobs(monkeypatch):
+    starts = []
+    job = montecarlo._job
+
+    def counted(start, *args):
+        starts.append(start)
+        return job(start, *args)
+
+    monkeypatch.setattr(montecarlo, "_job", counted)
+    return starts
+
+
+def test_serial_run_stops_at_the_job_with_the_error_it_raises(monkeypatch):
+    # replicate 4 has two overflowed draws, so the first of the seven jobs
+    # (324 rows at n = 200) holds the error; the others need not run
+    starts = counting_jobs(monkeypatch)
+    spec = SimulationSpec(two_sided_pareto(0.01), 200, 2000, d=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateSampleError, match=r"^replicate 4 \(master seed 0, n=200,"):
+            null_statistics(spec)
+    assert starts == [0]
+
+
+def test_serial_run_goes_on_past_an_error_of_a_later_size(monkeypatch):
+    # jobs are 160 rows of n = 400; the first size in the caller's order,
+    # 400, fails only at replicate 350 (the third job), and 100 already in
+    # the first job, whose error is not the one raised
+    def measure(x, d, seed, start):
+        bad = {100: 0, 400: 350}[x.shape[1]]
+        if start <= bad < start + x.shape[0]:
+            raise DegenerateSampleError(f"replicate {bad} at n={x.shape[1]}")
+        return x.shape[0]
+
+    starts = counting_jobs(monkeypatch)
+    with pytest.raises(DegenerateSampleError, match=r"^replicate 350 at n=400$"):
+        montecarlo._run_jobs(measure, 1, gaussian(), {400: 2, 100: 2}, 0, 1000)
+    assert starts == [0, 160, 320]
 
 
 def test_table_memory_stays_within_a_few_sample_blocks():

@@ -55,6 +55,13 @@ def test_plan_takes_numpy_integers_as_ints(field):
     assert type(getattr(plan, field)) is int
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_plan_rejects_a_bool_seed_by_name(flag):
+    # a Python bool is an int: seed=False used to run seed 0
+    with pytest.raises(ValueError, match=rf"^seed must be an integer, got {flag!r}$"):
+        ResamplePlan(m=5, seed=flag)
+
+
 def test_trimmed_centered_hand_values(hand_sample):
     x = trimmed_centered(hand_sample, 2)
     assert_allclose(x, [2.1, -1.9, -0.4, -0.9, 1.1], atol=1e-12)
