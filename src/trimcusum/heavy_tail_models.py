@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._streams import stream_uniforms
 from .trimmed_cusum import _check_depth
@@ -58,6 +57,16 @@ class UnsupportedModelError(ValueError):
     """The requested quantity is not defined for this model family."""
 
 
+def _normal():
+    """scipy.special, whose ndtr and ndtri are the normal law's CDF and
+    quantile.  It is imported on first use, as only the Gaussian family needs
+    it: loading it takes most of the command line's start-up time and
+    memory."""
+    import scipy.special
+
+    return scipy.special
+
+
 @dataclass(frozen=True)
 class TailModel:
     """A sampling law with Pareto-type tails (or the Gaussian control).
@@ -77,6 +86,9 @@ class TailModel:
         if self.family == GAUSSIAN:
             if self.alpha is not None:
                 raise ValueError("the gaussian family carries no tail index")
+            # loaded where the model is built, so that the workers a Monte
+            # Carlo run forks inherit the module instead of each importing it
+            _normal()
             return
         if self.alpha is None or not 0.0 < self.alpha < 2.0:
             raise ValueError("tail index alpha must lie in (0, 2)")
@@ -120,7 +132,7 @@ def cdf(model: TailModel, t):
     """Distribution function F(t); accepts scalars or arrays."""
     arr, scalar = _prep(t)
     if model.family == GAUSSIAN:
-        return _ret(ndtr(arr), scalar)
+        return _ret(_normal().ndtr(arr), scalar)
     a = model.alpha
     out = np.empty_like(arr)
     neg = arr <= 0.0
@@ -134,7 +146,7 @@ def _quantile_unchecked(model: TailModel, u: np.ndarray, overwrite: bool = False
     overwrite, u (C-contiguous) receives the result and is returned, so a
     caller that owns its block allocates no output."""
     if model.family == GAUSSIAN:
-        return ndtri(u, out=u if overwrite else None)
+        return _normal().ndtri(u, out=u if overwrite else None)
     a = model.alpha
     # v**(-1/alpha) passes the float range for v < exp(-709.78 * alpha), which
     # samplers meet at small alpha (v < 8.3e-4 at alpha = 0.01).  The draw is
@@ -200,7 +212,7 @@ def tail_survival(model: TailModel, t):
     if not np.all(arr >= 0.0):
         raise ValueError("t must be nonnegative")
     if model.family == GAUSSIAN:
-        out = 2.0 * ndtr(-arr)
+        out = 2.0 * _normal().ndtr(-arr)
     else:
         out = (1.0 + arr) ** (-model.alpha)
     return _ret(out, scalar)
@@ -212,7 +224,7 @@ def tail_survival_inv(model: TailModel, u):
     if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise ValueError("probability u must lie in (0, 1]")
     if model.family == GAUSSIAN:
-        out = -ndtri(arr / 2.0)
+        out = -_normal().ndtri(arr / 2.0)
     else:
         out = arr ** (-1.0 / model.alpha) - 1.0
     return _ret(out, scalar)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .heavy_tail_models import (
     TailModel,
@@ -204,22 +203,34 @@ def _sample_block(
     return _quantile_unchecked(model, u, overwrite=True)
 
 
+def _overflow_error(replicate: int, seed: int, n: int, d: int, result: str):
+    """The error of a replicate with d or more draws past the float range:
+    its trim threshold is inf, so it has no `result`."""
+    return DegenerateSampleError(
+        f"replicate {replicate} (master seed {seed}, n={n}, d={d}) has {d} or more draws "
+        f"past the float range, so its trim threshold is inf and it has no {result}"
+    )
+
+
 def _statistics(x: np.ndarray, d: int, seed: int, start: int) -> np.ndarray:
     """Test statistic of each row of a block whose row i is replicate start + i.
 
-    The first replicate without a statistic (identical retained values, or
-    draws that overflowed) is reported instead of letting a NaN reach the
-    aggregates.
+    The first replicate without a statistic is reported instead of letting a
+    NaN reach the aggregates, with its cause: draws past the float range, as
+    _diagnostic_job names them, or a trimmed sum of squares that is zero
+    (identical retained values) or not finite.
     """
     rows = _trim_rows(x, d)
     try:
         return rows.statistics()
     except DegenerateSampleError:
         i = int(rows.undefined()[0])
+        n = x.shape[1]
+        if math.isinf(rows.threshold[i]):
+            raise _overflow_error(start + i, seed, n, d, "statistic") from None
         raise DegenerateSampleError(
-            f"replicate {start + i} (master seed {seed}, n={x.shape[1]}, d={d}) has "
-            f"trimmed sum of squares {float(rows.centered_sum_sq[i])}, so its statistic is "
-            "undefined"
+            f"replicate {start + i} (master seed {seed}, n={n}, d={d}) has trimmed sum of "
+            f"squares {float(rows.centered_sum_sq[i])}, so its statistic is undefined"
         ) from None
 
 
@@ -391,6 +402,8 @@ def size_under_finite_variance(
 
 
 def _ks_to_standard_normal(values: np.ndarray) -> float:
+    from scipy.special import ndtr  # the one use of the normal law outside its family
+
     v = np.sort(values)
     count = v.size
     f = ndtr(v)
@@ -413,11 +426,7 @@ def _diagnostic_job(
     eta, kept = _trim_rule(x, d)
     infinite = np.flatnonzero(np.isinf(eta))
     if infinite.size:
-        raise DegenerateSampleError(
-            f"replicate {start + int(infinite[0])} (master seed {seed}, n={n}, d={d}) has "
-            f"{d} or more draws past the float range, so its trim threshold is inf and it "
-            "has no diagnostic"
-        )
+        raise _overflow_error(start + int(infinite[0]), seed, n, d, "diagnostic")
     terms = _gap_terms(x, kept, threshold)
     del kept  # freed before the sups take their temporaries of the block
     shift = mean_shift(model, eta, d, n)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,22 +137,78 @@ def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
     return stream_generator(plan.seed, replicate_index).integers(0, n, size=plan.m)
 
 
-def _indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
-    """The bootstrap indices of replicates start..stop-1 in pairs, an
-    (h, m, 2) array with h = ceil((stop - start) / 2): lane i % 2 of pair
-    i // 2 is exactly _numpy_draw(plan, n, start + i).  When stop - start is
-    odd, the last pair's second lane holds indices in [0, n) that belong to
-    no replicate."""
+class _Workspace(NamedTuple):
+    """The buffers of one critical-value run, all views of one allocation
+    (_workspace), so that nothing of a block's size is allocated inside the
+    block loop.  The last four serve bootstrap blocks only and are empty for
+    permutations; the words, candidates and low words are empty too where n
+    passes 2**32 and numpy draws every row."""
+
+    lanes: np.ndarray  # (pairs, width, 2) float64: the drawn values, summed in place
+    sums: np.ndarray  # (2 pairs, m) float64: the partial sums, tied down in place
+    product: np.ndarray  # (2 pairs, m) float64: the tie-down's S_m * k/m
+    words: np.ndarray  # (2 pairs, w) uint64: each row's raw Philox words
+    candidates: np.ndarray  # (2 pairs, m) uint64: each row's first m candidates times n
+    indices: np.ndarray  # (pairs, m, 2) uint64: the accepted indices, in pairs
+    low: np.ndarray  # (2 pairs, m) uint32: those products' low words
+
+
+def _word_width(plan: ResamplePlan, n: int) -> int:
+    """Raw Philox words a bootstrap row takes (see _bootstrap_indices): m
+    candidates and, as spares, twice the rejections expected among them
+    (fewer than m * n / 2**32) plus 16, two candidates a word.  Zero where n
+    passes 2**32 and numpy draws the rows itself."""
+    if n > 1 << 32:
+        return 0
+    return (plan.m + 16 + 2 * (plan.m * n >> 32) + 1) // 2
+
+
+def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
+    """The buffers of blocks of up to `pairs` pairs of replicates of a
+    sample of size n, carved from one float64 allocation."""
+    m, width = plan.m, _block_width(plan, n)
+    words = indices = raw = 0  # the bootstrap buffers' widths
+    if plan.mode == WITH_REPLACEMENT:
+        words, indices = _word_width(plan, n), m
+        raw = m if words else 0
+    rows = 2 * pairs
+    layout = [  # (shape, dtype, float64 slots)
+        ((pairs, width, 2), np.float64, rows * width),
+        ((rows, m), np.float64, rows * m),
+        ((rows, m), np.float64, rows * m),
+        ((rows, words), np.uint64, rows * words),
+        ((rows, raw), np.uint64, rows * raw),
+        ((pairs, indices, 2), np.uint64, rows * indices),
+        ((rows, raw), np.uint32, pairs * raw),
+    ]
+    buffer = np.empty(sum(slots for _, _, slots in layout))
+    views, offset = [], 0
+    for shape, dtype, slots in layout:
+        views.append(buffer[offset : offset + slots].view(dtype).reshape(shape))
+        offset += slots
+    return _Workspace(*views)
+
+
+def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) -> np.ndarray:
+    """The bootstrap indices of replicates start..stop-1 in pairs, written
+    into ws.indices and returned as an (h, m, 2) intp view with
+    h = ceil((stop - start) / 2): lane i % 2 of pair i // 2 is exactly
+    _numpy_draw(plan, n, start + i).  When stop - start is odd, the last
+    pair's second lane holds indices in [0, n) that belong to no
+    replicate."""
     count = stop - start
     if n <= 1 << 32:
-        return _bootstrap_indices(plan, n, start, stop)
-    out = np.zeros(((count + 1) // 2, plan.m, 2), dtype=np.intp)
+        return _bootstrap_indices(plan, n, start, stop, ws)
+    out = ws.indices[: (count + 1) // 2]
+    out.fill(0)
     for row in range(count):
         out[row // 2, :, row % 2] = _numpy_draw(plan, n, start + row)
-    return out
+    return out.view(np.intp)
 
 
-def _bootstrap_indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.ndarray:
+def _bootstrap_indices(
+    plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace
+) -> np.ndarray:
     """_indices with replacement, for n <= 2**32, from raw Philox words.
 
     numpy's Generator.integers(0, n) for n <= 2**32 is Lemire's method on
@@ -160,30 +217,38 @@ def _bootstrap_indices(plan: ResamplePlan, n: int, start: int, stop: int) -> np.
     prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  Acceptance
     depends on c alone, so a replicate's draws are the first m accepted
     candidates of its stream, and one pass over the whole block applies the
-    rule, writing each row's indices straight into its lane.  A row gets m
-    candidates and, as spares, twice the rejections expected among them (fewer
-    than m * n / 2**32) plus 16; a row that still comes up short is drawn by
-    numpy itself.
+    rule, writing each row's indices straight into its lane.  A row gets the
+    _word_width(plan, n) words of spares; a row that still comes up short is
+    drawn by numpy itself.  Only the first m candidates of a row are
+    multiplied out for the whole block, and their low words, prod mod 2**32,
+    are the wrapped 32-bit product; a row with a rejection among them
+    multiplies out all of its candidates.  Every array of the block's size
+    is a view of the workspace `ws`.
     """
     m, count = plan.m, stop - start
     pairs = (count + 1) // 2
-    width = (m + 16 + 2 * (m * n >> 32) + 1) // 2  # two candidates per word
-    words = np.empty((2 * pairs, width), dtype=np.uint64)
+    words = ws.words[: 2 * pairs]
+    width, seed = words.shape[1], plan.seed  # locals: the loop runs once a replicate
     for row in range(count):
-        words[row] = stream_generator(plan.seed, start + row).bit_generator.random_raw(width)
+        words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
     words[count:] = 0  # the unused lane of an odd block: index 0
-    prod = words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
-    prod *= np.uint64(n)
-    idx = np.empty((pairs, m, 2), dtype=np.uint64)
-    np.right_shift(prod[:, :m].reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
+    c = words.astype("<u8", copy=False).view("<u4")  # the 32-bit candidates
+    prod = ws.candidates[: 2 * pairs]
+    np.copyto(prod, c[:, :m])
+    prod *= np.uint64(n)  # exact in 64 bits
+    idx = ws.indices[:pairs]
+    np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
     threshold = (2**32 - n) % n
-    low = prod[:count, :m].astype(np.uint32)  # prod mod 2**32
-    if np.minimum.reduce(low, axis=None) < threshold:  # a rejection, rare unless n is near 2**32
-        for row in np.flatnonzero((low < threshold).any(axis=1)):
-            accepted = prod[row, prod[row].astype(np.uint32) >= threshold][:m] >> np.uint64(32)
-            if accepted.size < m:
-                accepted = _numpy_draw(plan, n, start + row)
-            idx[row // 2, :, row % 2] = accepted
+    if threshold:  # at n = 2**32 every candidate is accepted
+        low = ws.low[:count]
+        np.multiply(c[:count, :m], np.uint32(n), out=low)  # prod mod 2**32, wrapping
+        if np.minimum.reduce(low, axis=None) < threshold:  # rare unless n is near 2**32
+            for row in np.flatnonzero((low < threshold).any(axis=1)):
+                full = c[row].astype(np.uint64) * np.uint64(n)
+                accepted = full[full.astype(np.uint32) >= threshold][:m] >> np.uint64(32)
+                if accepted.size < m:
+                    accepted = _numpy_draw(plan, n, start + row)
+                idx[row // 2, :, row % 2] = accepted
     return idx.view(np.intp)  # every index is below 2**32
 
 
@@ -204,9 +269,9 @@ def _draw_source(x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
 
 
 def _draw_pairs(source: np.ndarray, plan: ResamplePlan, start: int, stop: int,
-                lanes: np.ndarray) -> None:
+                ws: _Workspace) -> None:
     """The drawn values of replicates start..stop-1, written in pairs into
-    `lanes`, an (h, _block_width(plan, n), 2) buffer of at least
+    ws.lanes, an (h, _block_width(plan, n), 2) buffer of at least
     ceil((stop - start) / 2) pairs: replicate start + i is lane i % 2 of pair
     i // 2, and its first m values are its draw.  `source` is
     _draw_source(x, plan).
@@ -220,14 +285,17 @@ def _draw_pairs(source: np.ndarray, plan: ResamplePlan, start: int, stop: int,
     """
     count = stop - start
     pairs = (count + 1) // 2
+    lanes = ws.lanes
     if plan.mode == WITH_REPLACEMENT:
         # every index is in range; the default mode="raise" would gather
         # through a temporary buffer instead of straight into the block
-        np.take(source, _indices(plan, source.size, start, stop), out=lanes[:pairs], mode="clip")
+        np.take(source, _indices(plan, source.size, start, stop, ws), out=lanes[:pairs],
+                mode="clip")
         return
     lanes[:pairs].view(np.complex128)[..., 0] = source
+    seed = plan.seed
     for row in range(count):
-        stream_generator(plan.seed, start + row).shuffle(lanes[row // 2, :, row % 2])
+        stream_generator(seed, start + row).shuffle(lanes[row // 2, :, row % 2])
 
 
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
@@ -240,9 +308,9 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
     _check_size(plan, arr.size)
-    lanes = np.empty((1, _block_width(plan, arr.size), 2))
-    _draw_pairs(_draw_source(arr, plan), plan, replicate_index, replicate_index + 1, lanes)
-    return cusum_path(lanes[0, : plan.m, 0])
+    ws = _workspace(plan, arr.size, 1)
+    _draw_pairs(_draw_source(arr, plan), plan, replicate_index, replicate_index + 1, ws)
+    return cusum_path(ws.lanes[0, : plan.m, 0])
 
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
@@ -254,14 +322,20 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     """resampled_critical_value of the kernel's one-row output.  Replicate b
     draws from its own stream.
 
-    Each block of replicates is drawn in pairs into one reused buffer
-    (_draw_pairs), each pair the real and imaginary lanes of one complex128
-    row.  _pair_sums, the Monte Carlo path step's helper, sums both lanes in
-    one complex cumulative sum, bit-identical to one replicate at a time, and
-    copies them out lane by lane into a contiguous (rows, m) buffer, as
-    _tie_down needs a whole block; they are tied down and reduced to their
+    Each block of replicates is drawn in pairs into the lanes of one
+    workspace (_draw_pairs), each pair the real and imaginary lanes of one
+    complex128 row.  _pair_sums, the Monte Carlo path step's helper, sums
+    both lanes in one complex cumulative sum, bit-identical to one replicate
+    at a time, and copies them out lane by lane into the workspace's
+    contiguous (rows, m) sums, as _tie_down needs a whole block; they are
+    tied down, with the products in the workspace too, and reduced to their
     row sups.  An odd B leaves the last pair's second lane unused: its values
     are finite and never read.
+
+    The workspace is allocated once a call, and every array of a block's
+    size is a view of it, filled through out=: allocating them a block at a
+    time would free and map the same memory again on every block wherever
+    the allocator returns blocks of this size to the system at once.
     """
     if trimmed.undefined().size:
         raise DegenerateSampleError("all retained observations are identical")
@@ -274,14 +348,14 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     m, b_total = plan.m, plan.replications
     width = _block_width(plan, x.size)
     pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (b_total + 1) // 2)
-    lanes = np.empty((pairs, width, 2))
-    sums = np.empty((2 * pairs, m))
+    ws = _workspace(plan, x.size, pairs)
     source = _draw_source(x, plan)
     stats = np.empty(b_total)
     for start in range(0, b_total, 2 * pairs):
         stop = min(start + 2 * pairs, b_total)
-        _draw_pairs(source, plan, start, stop, lanes)
-        path = _tie_down(_pair_sums(lanes[:, :m], stop - start, sums), m)
+        _draw_pairs(source, plan, start, stop, ws)
+        count = stop - start
+        path = _tie_down(_pair_sums(ws.lanes[:, :m], count, ws.sums), m, ws.product[:count])
         np.maximum.reduce(np.abs(path, out=path), axis=1, out=stats[start:stop])
     stats /= math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(m)
     stats.sort()

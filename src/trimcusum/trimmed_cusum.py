@@ -160,14 +160,16 @@ def _tie_down_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _tie_down(sums: np.ndarray, n: int) -> np.ndarray:
+def _tie_down(sums: np.ndarray, n: int, product: np.ndarray | None = None) -> np.ndarray:
     """S_k - S_n * (k/n), in place, on each row of partial sums S_1..S_n of
     n terms.  Callers pass a whole contiguous block, not a column slice of
-    several rows, which numpy would loop over row by row."""
+    several rows, which numpy would loop over row by row.  The products
+    S_n * (k/n) are written into `product`, an array of the block's shape,
+    if given, and into a temporary otherwise."""
     # einsum's outer product allocates no broadcasting buffers, where
     # multiply would add two of 64 KiB to a block's temporaries; it gives the
     # same products, but +0.0 for -0.0
-    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n))
+    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n), out=product)
     return sums
 
 
@@ -197,10 +199,13 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     k = 1..n, of each row of an (R, n) block into the (R, n) array `out` and
     returns the row-wise max modulus times 2**-exponent.
 
-    The rows are summed in pairs (_pair_sums): they are copied into a pair
-    buffer, rows 2i and 2i + 1 as the two lanes of pair i and a zero lane
-    after an odd last row, with the same bits as one row at a time.  The
-    buffer is freed before the tie-down takes its temporaries of the block.
+    Several rows are summed in pairs (_pair_sums): they are copied into a
+    pair buffer, rows 2i and 2i + 1 as the two lanes of pair i and a zero
+    lane after an odd last row, with the same bits as one row at a time.
+    The buffer is freed before the tie-down takes its temporaries of the
+    block.  A lone row, as the one-sample functions and the command line's
+    test pass, is summed straight into `out` by a real cumulative sum: the
+    same adds in the same order, without the copy into a pair buffer.
 
     The k = n sum is exactly zero: S_n is computed once and k/n is exactly 1
     at k = n, so the subtraction cancels bit-for-bit.  A row whose sup is not
@@ -213,14 +218,17 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     invalid="ignore") around the call; _path_sup opens none of its own.
     """
     rows, n = y.shape
-    lanes = np.empty(((rows + 1) // 2, n, 2))
-    # two strided copies; one transposed copy of the block is about four
-    # times slower
-    lanes[:, :, 0] = y[0::2]
-    lanes[: rows // 2, :, 1] = y[1::2]
-    lanes[rows // 2 :, :, 1] = 0.0  # the pad lane of an odd block
-    _pair_sums(lanes, rows, out)
-    del lanes
+    if rows == 1:
+        np.add.accumulate(y, axis=1, out=out)
+    else:
+        lanes = np.empty(((rows + 1) // 2, n, 2))
+        # two strided copies; one transposed copy of the block is about four
+        # times slower
+        lanes[:, :, 0] = y[0::2]
+        lanes[: rows // 2, :, 1] = y[1::2]
+        lanes[rows // 2 :, :, 1] = 0.0  # the pad lane of an odd block
+        _pair_sums(lanes, rows, out)
+        del lanes
     sup = np.ldexp(np.maximum.reduce(np.abs(_tie_down(out, n)), axis=1), -exponent)
     if not np.isfinite(sup).all():
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same

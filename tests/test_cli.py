@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -387,6 +388,28 @@ def test_diagnose_at_an_extreme_tail_index_is_a_usage_error(capsys, argv, named)
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, n, replicate, ending",
+    [
+        ("simulate", 200, 4, "no statistic"),
+        ("power", 200, 4, "no statistic at shift -3.0"),
+        ("diagnose", 1000, 0, "no diagnostic"),
+    ],
+)
+def test_draws_past_the_float_range_are_named_alike(capsys, subcommand, n, replicate, ending):
+    # at d = 2 the replicate holds two draws past the float range: its trim
+    # threshold is inf, which is the cause every subcommand names (simulate
+    # and power once named the NaN sum of squares that follows from it)
+    code, out, err = run_cli(
+        capsys, subcommand, "--n", str(n), "--alpha", "0.01", "--d", "2", "--reps", "500"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"trimcusum: replicate {replicate} (master seed 0, n={n}, d=2) has 2 or more draws "
+        f"past the float range, so its trim threshold is inf and it has {ending}\n"
+    )
+
+
 def test_output_file(capsys, tmp_path, hand_csv):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -446,3 +469,61 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.3581\n"
+
+
+# Runs CLI commands in a fresh interpreter where importing scipy fails, and
+# prints each one's exit code and standard output as JSON.
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from trimcusum.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    runs.append([code, buf.getvalue()])
+loaded = [m for m in sys.modules if m.startswith("scipy.")]
+print(json.dumps({"runs": runs, "loaded": loaded}))
+"""
+
+
+def test_pareto_paths_run_without_scipy(capsys, tmp_path):
+    # the Kolmogorov law is the standard library's and the normal law is
+    # imported only by the Gaussian family and diagnose, so every Pareto path
+    # of the command line runs, with the same output, where scipy is missing
+    from trimcusum import sample_iid, two_sided_pareto
+
+    path = tmp_path / "series.csv"
+    series = sample_iid(two_sided_pareto(1.5), 300, seed=4).tolist()
+    path.write_text("".join(f"{v!r}\n" for v in series))
+    commands = [
+        ["quantile", "--level", "0.95"],
+        ["quantile", "--level", "0.5", "--format", "json"],
+        ["test", "--input", str(path), "--resample-B", "200", "--mode", "permutation"],
+        ["test", "--input", str(path), "--resample-B", "200", "--mode", "bootstrap"],
+        ["simulate", "--n", "200,50", "--reps", "300"],
+        ["simulate", "--n", "100", "--reps", "300", "--family", "one_sided_pareto"],
+        ["power", "--n", "100", "--reps", "100"],
+        ["resample", "--input", str(path), "--reps", "200"],
+    ]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, check=True,
+    )
+    blocked = json.loads(proc.stdout)
+    assert blocked["loaded"] == []
+    for argv, (code, out) in zip(commands, blocked["runs"], strict=True):
+        assert code == 0, argv
+        assert run_cli(capsys, *argv)[:2] == (0, out), argv
+
+
+def test_gaussian_simulation_is_the_same_for_any_worker_count(capsys):
+    # the parent loads the normal law when it builds the model, and the
+    # forked workers inherit it
+    argv = ("simulate", "--n", "300,100", "--reps", "600", "--family", "gaussian")
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--workers", "2")[:2] == (0, out)

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import scipy.special
 
 import trimcusum
-from trimcusum import sup_bridge_cdf, sup_bridge_quantile
+from trimcusum import limit_dist, sup_bridge_cdf, sup_bridge_quantile
 
 
 def test_cdf_at_zero_and_below():
@@ -40,7 +42,8 @@ def test_cdf_strictly_increasing():
 
 
 def test_quantile_tabulated_value():
-    assert sup_bridge_quantile(0.95) == pytest.approx(1.3581, abs=5e-4)
+    # the correctly rounded quantile at 0.95, which scipy's _kolmogci gives too
+    assert sup_bridge_quantile(0.95) == 1.3580986393225505
 
 
 def test_quantile_round_trip():
@@ -61,29 +64,70 @@ def test_quantile_domain_errors():
 @pytest.mark.parametrize(
     "level,reference",
     [
-        (1e-16, 0.17674325659716231),
-        (1e-6, 0.27753935399861560),
-        (0.5, 0.82757355518990769),
-        (0.95, 1.35809863932255060),
-        (0.999, 1.94947460350437527),
+        (1e-16, 0.17674325659716230703),
+        (1e-6, 0.27753935399861560029),
+        (0.5, 0.82757355518990769011),
+        (0.95, 1.3580986393225504408),
+        (0.999, 1.9494746035043751594),
+        (1e-300, 0.042136243271946001408),
+        (5e-324, 0.040596694898186968995),
     ],
 )
 def test_quantile_against_40_digit_reference(level, reference):
-    # 40-digit values at the decimal levels, from the theta series of the CDF
-    assert sup_bridge_quantile(level) == pytest.approx(reference, rel=1e-14, abs=0.0)
+    # solutions at the double levels (0.95 as a double is 4.4e-17 below
+    # 0.95, which moves the 17th digit), found by bisection on the CDF's
+    # series summed at 70 digits; the quantile is their correctly rounded
+    # double.  scipy's _kolmogci gives 0.8275735551899059 at 0.5 and is off
+    # by 1.4e-6 relative at 5e-324
+    assert sup_bridge_quantile(level) == reference
+
+
+@pytest.mark.parametrize(
+    "x,expected",
+    [(5e-324, 0.0), (1e-300, 0.0), (1e300, 1.0), (math.inf, 1.0)],
+)
+def test_cdf_at_the_ends_of_the_float_range_is_exact_and_prompt(x, expected):
+    # far in the left tail every term of the theta series underflows, far
+    # in the right every term of the alternating one: the sums must end
+    started = time.perf_counter()
+    assert sup_bridge_cdf(x) == expected
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "level,reference",
+    [(5e-324, 0.040596694898186968995), (1 - 2**-53, 4.3260806598026490512)],
+)
+def test_quantile_at_the_ends_of_the_unit_interval_is_exact_and_prompt(level, reference):
+    started = time.perf_counter()
+    assert limit_dist._quantile.__wrapped__(level) == reference  # not the memo
+    assert time.perf_counter() - started < 1.0
 
 
 def test_cdf_left_tail_against_40_digit_reference():
-    assert sup_bridge_cdf(0.2) == pytest.approx(5.0504073386700709e-13, rel=1e-13, abs=0.0)
+    # at the double 0.2, 1.1e-17 above 0.2, where the CDF is 3.4e-15
+    # relative above its value at 0.2 itself (5.0504073386700709e-13)
+    assert sup_bridge_cdf(0.2) == 5.0504073386700878765e-13
+
+
+def test_quantile_is_memoised_per_level():
+    limit_dist._quantile.cache_clear()
+    for level in (0.95, 0.95, 0.9, 0.95):
+        sup_bridge_quantile(level)
+    info = limit_dist._quantile.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
 
 
 def test_cli_import_loads_neither_optimize_nor_stats():
-    # a fresh interpreter, so modules imported by other tests do not count
+    # a fresh interpreter, so modules imported by other tests do not count;
+    # the Kolmogorov law is the standard library's, and the normal law's
+    # scipy.special is imported only where the Gaussian family or diagnose
+    # uses it, so no scipy module is loaded at all
     package_root = str(Path(trimcusum.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, trimcusum.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},

@@ -477,15 +477,21 @@ def test_zero_variance_replicate_is_named():
 
 def test_power_error_names_the_shift_and_prints_a_plain_float():
     # at alpha = 0.01 draws overflow to inf, so replicate 4 has no statistic at the
-    # first shift; the message must read the same under numpy 1.x and 2.x
+    # first shift: two of its draws are past the float range, and that cause is
+    # named.  A sum of squares is printed where it is the cause, and must read
+    # the same under numpy 1.x and 2.x
     base = SimulationSpec(two_sided_pareto(0.01), 200, 500, d=2)
     spec = PowerSpec(base, change_at=100, critical_value=sup_bridge_quantile(0.95))
     with pytest.raises(DegenerateSampleError) as err:
         power_curve(spec)
     message = str(err.value)
     assert "replicate 4 (master seed 0, n=200, d=2)" in message
-    assert "sum of squares nan" in message
+    assert "2 or more draws past the float range, so its trim threshold is inf" in message
     assert "shift -3.0" in message
+    flat = np.ones((3, 10))
+    flat[0] = np.arange(10)
+    with pytest.raises(DegenerateSampleError, match=r"^replicate 8 .* sum of squares 0\.0, so"):
+        _statistics(flat, 2, 0, 7)
 
 
 def test_null_statistics_deterministic_and_batch_invariant():

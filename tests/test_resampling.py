@@ -219,11 +219,18 @@ def paired_draw(plan, n, start, stop):
     pair filled with NaN, which the draw must leave alone."""
     x = np.arange(n, dtype=float)
     pairs = (stop - start + 1) // 2
-    width = resampling._block_width(plan, n)
-    lanes = np.full((pairs + 1, width, 2), np.nan)
-    resampling._draw_pairs(resampling._draw_source(x, plan), plan, start, stop, lanes)
-    assert np.isnan(lanes[pairs:]).all()
-    return lanes[:pairs, : plan.m]
+    ws = resampling._workspace(plan, n, pairs + 1)
+    ws.lanes.fill(np.nan)
+    resampling._draw_pairs(resampling._draw_source(x, plan), plan, start, stop, ws)
+    assert np.isnan(ws.lanes[pairs:]).all()
+    return ws.lanes[:pairs, : plan.m]
+
+
+def indices(plan, n, start, stop):
+    """The bootstrap indices of replicates start..stop-1 in pairs, drawn into
+    a workspace of exactly that many pairs."""
+    ws = resampling._workspace(plan, n, (stop - start + 1) // 2)
+    return resampling._indices(plan, n, start, stop, ws)
 
 
 # 2**31 + 1 and 3 * 2**30 reject about 50 % and 25 % of the 32-bit candidates;
@@ -253,7 +260,7 @@ def test_indices_are_numpys_draws_bit_for_bit(seed, start, rows, n, m, mode):
     plan = ResamplePlan(m=m, mode=mode, replications=1, seed=seed)
     blocks = []
     if mode == WITH_REPLACEMENT:
-        blocks.append(resampling._indices(plan, n, start, start + rows))
+        blocks.append(indices(plan, n, start, start + rows))
     if n <= 3000:
         blocks.append(paired_draw(plan, n, start, start + rows))
     for got in blocks:
@@ -287,7 +294,7 @@ def test_rows_short_of_accepted_candidates_are_drawn_by_numpy(monkeypatch):
     monkeypatch.setattr(resampling, "_numpy_draw", spy)
     n, m = 2**31 + 1, 400
     plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=1)
-    got = resampling._indices(plan, n, 0, 16)
+    got = indices(plan, n, 0, 16)
     assert 0 < len(redrawn) < 16
     assert {b % 2 for b in redrawn} == {0, 1}  # both lanes
     for b in range(16):
@@ -306,7 +313,7 @@ def test_a_rejected_candidate_is_skipped_as_numpy_skips_it():
         rejected = np.flatnonzero(prod % 2**32 < (2**32 - n) % n)
         assert rejected.tolist() == [candidate]
         start = stream - stream % 8  # one block of 8 rows
-        for got in (resampling._indices(plan, n, start, start + 8),
+        for got in (indices(plan, n, start, start + 8),
                     paired_draw(plan, n, start, start + 8)):
             for row in range(8):
                 assert_array_equal(lane(got, row), numpy_draw(0, start + row, n, m, WITH_REPLACEMENT))
