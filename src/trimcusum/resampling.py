@@ -17,13 +17,14 @@ of one complex128 row, and sums them through the helper that the Monte Carlo
 kernel's path step also uses (trimmed_cusum._pair_sums): one complex
 cumulative sum runs two independent add chains per pass, and each lane's
 sums are the same IEEE adds in the same order as a real row's, so the layout
-changes no bit.  A bootstrap block takes each replicate's raw Philox words,
-applies numpy's own bounded-integer rule to the whole block at once, writing
-each replicate's indices straight into its lane, and gathers the values in
-one call.  A permutation block copies x into every lane and shuffles each
-lane in place on its stream: ``permutation(n)`` is the same shuffle applied to
-``arange(n)``, so the shuffled lane is the permuted sample without an index
-array or a gather.
+changes no bit.  A bootstrap block takes the raw Philox words of each
+replicate's first m candidates, applies numpy's own bounded-integer rule to
+the whole block at once, writing each replicate's indices straight into its
+lane, lets numpy itself draw the rare replicate with a rejected candidate
+among them, and gathers the values in one call.  A permutation block copies
+x into every lane and shuffles each lane in place on its stream:
+``permutation(n)`` is the same shuffle applied to ``arange(n)``, so the
+shuffled lane is the permuted sample without an index array or a gather.
 """
 
 from __future__ import annotations
@@ -90,17 +91,13 @@ class CriticalValueEstimate:
     standard_error: float
 
 
-def _quantile_and_error(values, level: float) -> tuple[float, float]:
-    """The ceil(B * level)-th smallest value (the 1e-9 guard keeps B * level
-    from crossing an integer through float rounding alone) and its
-    distribution-free dispersion: half the spread between the order
-    statistics one binomial standard deviation to either side of that rank."""
-    return _sorted_quantile_and_error(np.sort(np.asarray(values, dtype=float)), level)
-
-
 def _sorted_quantile_and_error(v: np.ndarray, level: float) -> tuple[float, float]:
-    """_quantile_and_error of values v already sorted in ascending order, so
-    that a caller owning its array can sort it in place instead of copying."""
+    """The ceil(B * level)-th smallest of the B values v, already sorted in
+    ascending order (the 1e-9 guard keeps B * level from crossing an integer
+    through float rounding alone), and its distribution-free dispersion: half
+    the spread between the order statistics one binomial standard deviation
+    to either side of that rank.  A caller owning its array sorts it in place
+    instead of copying."""
     if v.size == 0:
         raise ValueError("cannot take a quantile of an empty collection")
     if not 0.0 < level < 1.0:
@@ -116,7 +113,7 @@ def _sorted_quantile_and_error(v: np.ndarray, level: float) -> tuple[float, floa
 def empirical_quantile(values, level: float) -> float:
     """Ceiling order statistic: the ceil(B * level)-th smallest value, the
     conservative convention shared by the resampling and Monte Carlo estimators."""
-    return _quantile_and_error(values, level)[0]
+    return _sorted_quantile_and_error(np.sort(np.asarray(values, dtype=float)), level)[0]
 
 
 def trimmed_centered(sample, d: int) -> np.ndarray:
@@ -141,36 +138,24 @@ class _Workspace(NamedTuple):
     """The buffers of one critical-value run, all views of one allocation
     (_workspace), so that nothing of a block's size is allocated inside the
     block loop.  The last four serve bootstrap blocks only and are empty for
-    permutations; the words, candidates and low words are empty too where n
-    passes 2**32 and numpy draws every row."""
+    permutations."""
 
     lanes: np.ndarray  # (pairs, width, 2) float64: the drawn values, summed in place
     sums: np.ndarray  # (2 pairs, m) float64: the partial sums, tied down in place
     product: np.ndarray  # (2 pairs, m) float64: the tie-down's S_m * k/m
-    words: np.ndarray  # (2 pairs, w) uint64: each row's raw Philox words
+    words: np.ndarray  # (2 pairs, ceil(m/2)) uint64: each row's raw Philox words
     candidates: np.ndarray  # (2 pairs, m) uint64: each row's first m candidates times n
-    indices: np.ndarray  # (pairs, m, 2) uint64: the accepted indices, in pairs
+    indices: np.ndarray  # (pairs, m, 2) uint64: the drawn indices, in pairs
     low: np.ndarray  # (2 pairs, m) uint32: those products' low words
-
-
-def _word_width(plan: ResamplePlan, n: int) -> int:
-    """Raw Philox words a bootstrap row takes (see _bootstrap_indices): m
-    candidates and, as spares, twice the rejections expected among them
-    (fewer than m * n / 2**32) plus 16, two candidates a word.  Zero where n
-    passes 2**32 and numpy draws the rows itself."""
-    if n > 1 << 32:
-        return 0
-    return (plan.m + 16 + 2 * (plan.m * n >> 32) + 1) // 2
 
 
 def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
     """The buffers of blocks of up to `pairs` pairs of replicates of a
     sample of size n, carved from one float64 allocation."""
     m, width = plan.m, _block_width(plan, n)
-    words = indices = raw = 0  # the bootstrap buffers' widths
+    words = raw = 0  # the bootstrap buffers' widths
     if plan.mode == WITH_REPLACEMENT:
-        words, indices = _word_width(plan, n), m
-        raw = m if words else 0
+        words, raw = (m + 1) // 2, m
     rows = 2 * pairs
     layout = [  # (shape, dtype, float64 slots)
         ((pairs, width, 2), np.float64, rows * width),
@@ -178,7 +163,7 @@ def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
         ((rows, m), np.float64, rows * m),
         ((rows, words), np.uint64, rows * words),
         ((rows, raw), np.uint64, rows * raw),
-        ((pairs, indices, 2), np.uint64, rows * indices),
+        ((pairs, raw, 2), np.uint64, rows * raw),
         ((rows, raw), np.uint32, pairs * raw),
     ]
     buffer = np.empty(sum(slots for _, _, slots in layout))
@@ -195,61 +180,48 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
     h = ceil((stop - start) / 2): lane i % 2 of pair i // 2 is exactly
     _numpy_draw(plan, n, start + i).  When stop - start is odd, the last
     pair's second lane holds indices in [0, n) that belong to no
-    replicate."""
-    count = stop - start
-    if n <= 1 << 32:
-        return _bootstrap_indices(plan, n, start, stop, ws)
-    out = ws.indices[: (count + 1) // 2]
-    out.fill(0)
-    for row in range(count):
-        out[row // 2, :, row % 2] = _numpy_draw(plan, n, start + row)
-    return out.view(np.intp)
-
-
-def _bootstrap_indices(
-    plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace
-) -> np.ndarray:
-    """_indices with replacement, for n <= 2**32, from raw Philox words.
+    replicate.
 
     numpy's Generator.integers(0, n) for n <= 2**32 is Lemire's method on
     32-bit candidates c, which Philox serves as the low and then the high half
     of each 64-bit word: with prod = c * n, c is accepted iff
-    prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  Acceptance
-    depends on c alone, so a replicate's draws are the first m accepted
-    candidates of its stream, and one pass over the whole block applies the
-    rule, writing each row's indices straight into its lane.  A row gets the
-    _word_width(plan, n) words of spares; a row that still comes up short is
-    drawn by numpy itself.  Only the first m candidates of a row are
-    multiplied out for the whole block, and their low words, prod mod 2**32,
-    are the wrapped 32-bit product; a row with a rejection among them
-    multiplies out all of its candidates.  Every array of the block's size
-    is a view of the workspace `ws`.
+    prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  So a row
+    whose first m candidates are all accepted draws exactly their indices,
+    and one pass over the whole block takes each row's ceil(m/2) raw words,
+    applies the rule and writes the indices straight into the row's lane;
+    the low words, prod mod 2**32, are the wrapped 32-bit product.  Every
+    other row, one with a rejected candidate among its first m (about one
+    in 14 500 at n = m = 1000) and every row where n passes 2**32, is drawn
+    by numpy itself.  Every array of the block's size is a view of the
+    workspace `ws`.
     """
     m, count = plan.m, stop - start
     pairs = (count + 1) // 2
-    words = ws.words[: 2 * pairs]
-    width, seed = words.shape[1], plan.seed  # locals: the loop runs once a replicate
-    for row in range(count):
-        words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
-    words[count:] = 0  # the unused lane of an odd block: index 0
-    c = words.astype("<u8", copy=False).view("<u4")  # the 32-bit candidates
-    prod = ws.candidates[: 2 * pairs]
-    np.copyto(prod, c[:, :m])
-    prod *= np.uint64(n)  # exact in 64 bits
     idx = ws.indices[:pairs]
-    np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
-    threshold = (2**32 - n) % n
-    if threshold:  # at n = 2**32 every candidate is accepted
-        low = ws.low[:count]
-        np.multiply(c[:count, :m], np.uint32(n), out=low)  # prod mod 2**32, wrapping
-        if np.minimum.reduce(low, axis=None) < threshold:  # rare unless n is near 2**32
-            for row in np.flatnonzero((low < threshold).any(axis=1)):
-                full = c[row].astype(np.uint64) * np.uint64(n)
-                accepted = full[full.astype(np.uint32) >= threshold][:m] >> np.uint64(32)
-                if accepted.size < m:
-                    accepted = _numpy_draw(plan, n, start + row)
-                idx[row // 2, :, row % 2] = accepted
-    return idx.view(np.intp)  # every index is below 2**32
+    if n > 1 << 32:  # numpy's 64-bit rule
+        idx.fill(0)
+        redraw = range(count)
+    else:
+        words = ws.words[: 2 * pairs]
+        width, seed = words.shape[1], plan.seed  # locals: the loop runs once a replicate
+        for row in range(count):
+            words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
+        words[count:] = 0  # the unused lane of an odd block: index 0
+        c = words.astype("<u8", copy=False).view("<u4")[:, :m]  # the 32-bit candidates
+        prod = ws.candidates[: 2 * pairs]
+        np.copyto(prod, c)
+        prod *= np.uint64(n)  # exact in 64 bits
+        np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
+        threshold = (2**32 - n) % n
+        redraw = ()
+        if threshold:  # zero where n divides 2**32: every candidate is accepted
+            low = ws.low[:count]
+            np.multiply(c[:count], np.uint32(n), out=low)  # prod mod 2**32, wrapping
+            if np.minimum.reduce(low, axis=None) < threshold:  # rare unless n is near 2**32
+                redraw = np.flatnonzero((low < threshold).any(axis=1))
+    for row in redraw:
+        idx[row // 2, :, row % 2] = _numpy_draw(plan, n, start + row)
+    return idx.view(np.intp)  # every index is below n
 
 
 def _block_width(plan: ResamplePlan, n: int) -> int:

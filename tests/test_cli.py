@@ -461,6 +461,24 @@ def test_workers_flag_beats_env(capsys, monkeypatch):
     assert seen == [2, 3, 1, 1]
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "power", "diagnose"])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), (None, "0")])
+def test_a_worker_count_below_one_is_a_usage_error(capsys, monkeypatch, subcommand, flag, env):
+    argv = [subcommand, "--n", "500", "--reps", "5"]
+    if flag is not None:
+        argv += ["--workers", flag]
+    if env is None:
+        monkeypatch.delenv("TRIMCUSUM_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("TRIMCUSUM_WORKERS", env)
+    assert run_cli(capsys, *argv) == (2, "", "trimcusum: worker count must be at least 1\n")
+
+
+def test_diagnose_without_replicates_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "diagnose", "--n", "500", "--reps", "0")
+    assert (code, out, err) == (2, "", "trimcusum: reps must be at least 1\n")
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "trimcusum.cli", "quantile", "--level", "0.95"],

@@ -281,24 +281,34 @@ def test_permutation_path_is_the_path_of_numpys_draw(n):
             assert (path.sup_abs, path.argmax_k) == (expected.sup_abs, expected.argmax_k)
 
 
-def test_rows_short_of_accepted_candidates_are_drawn_by_numpy(monkeypatch):
-    # at n = 2**31 + 1 half of the candidates are rejected, more than the
-    # spare candidates cover in some rows of this block
-    redrawn = []
+@pytest.mark.parametrize(
+    "n, m, seed, start, rows, redrawn",
+    [
+        # half of the candidates are rejected at n = 2**31 + 1: numpy draws
+        # every row, in both lanes
+        (2**31 + 1, 400, 1, 0, 16, list(range(16))),
+        # one row of each block rejects one candidate (see the next test),
+        # in a first lane and in a second lane
+        (1000, 1000, 0, 28808, 8, [28814]),
+        (1000, 1000, 0, 64960, 8, [64967]),
+    ],
+)
+def test_rows_with_a_rejected_candidate_are_drawn_by_numpy(
+    monkeypatch, n, m, seed, start, rows, redrawn
+):
+    seen = []
     draw = resampling._numpy_draw
 
     def spy(plan, n, b):
-        redrawn.append(b)
+        seen.append(b)
         return draw(plan, n, b)
 
     monkeypatch.setattr(resampling, "_numpy_draw", spy)
-    n, m = 2**31 + 1, 400
-    plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=1)
-    got = indices(plan, n, 0, 16)
-    assert 0 < len(redrawn) < 16
-    assert {b % 2 for b in redrawn} == {0, 1}  # both lanes
-    for b in range(16):
-        assert_array_equal(lane(got, b), numpy_draw(1, b, n, m, WITH_REPLACEMENT))
+    plan = ResamplePlan(m=m, mode=WITH_REPLACEMENT, replications=1, seed=seed)
+    got = indices(plan, n, start, start + rows)
+    assert seen == redrawn
+    for row in range(rows):
+        assert_array_equal(lane(got, row), numpy_draw(seed, start + row, n, m, WITH_REPLACEMENT))
 
 
 def test_a_rejected_candidate_is_skipped_as_numpy_skips_it():
@@ -317,3 +327,25 @@ def test_a_rejected_candidate_is_skipped_as_numpy_skips_it():
                     paired_draw(plan, n, start, start + 8)):
             for row in range(8):
                 assert_array_equal(lane(got, row), numpy_draw(0, start + row, n, m, WITH_REPLACEMENT))
+
+
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_critical_value_is_the_quantile_of_a_per_replicate_loop(mode):
+    # the reference draws each replicate on its own generator and sums its
+    # path alone; at these settings bootstrap replicates 10, 11, 15 and 18
+    # each have a rejected candidate among their first m
+    n = m = 50_000
+    d, seed = 3, 0
+    sample = sample_iid(two_sided_pareto(1.5), n, seed=5)
+    plan = ResamplePlan(m=m, mode=mode, replications=21, level=0.9, seed=seed)
+    x = trimmed_centered(sample, d)
+    scale = trim(sample, d).sigma_hat * math.sqrt(m)
+    stats = np.sort([
+        cusum_path(x[numpy_draw(seed, b, n, m, mode)]).sup_abs / scale
+        for b in range(plan.replications)
+    ])
+    # rank ceil(21 * 0.9) = 19; sqrt(21 * 0.9 * 0.1) = 1.37 puts the
+    # spread's order statistics at ranks 17 and 21
+    est = resampled_critical_value(sample, d, plan)
+    assert (est.value, est.standard_error) == (stats[18], (stats[20] - stats[16]) / 2)
+    assert (est.level, est.replications) == (0.9, 21)
