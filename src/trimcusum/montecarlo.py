@@ -25,6 +25,7 @@ import numpy as np
 from .heavy_tail_models import (
     TailModel,
     _depth_threshold,
+    _normal,
     _quantile_unchecked,
     centering_scale,
     gaussian,
@@ -240,34 +241,32 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMS // n)
 
 
-def _job(start, count, model, sizes, depths, seed, measure, *extra):
+def _job(start, count, model, depths, seed, measure, *extra):
     """measure(slice, d, seed, first replicate, *extra) of replicates
-    start..start+count-1 at each of `sizes` (distinct, ascending) with its
-    depth, as one list of slice results per size, and for each size the
-    DegenerateSampleError of its lowest replicate without a result, or None.
+    start..start+count-1 at each size n of `depths` ({n: d}), in the caller's
+    order: (one list of slice results per size, None), or (None, (k, error))
+    at the first size k with a replicate without a result, `error` being the
+    DegenerateSampleError of its lowest such replicate; later sizes are not
+    measured.
 
     Replicate r at size n is the first n values of stream r, so each replicate
     is drawn once, at the largest size, one sample block at a time, and each
     size reads its sample blocks as slices of that one draw.
     """
-    top = sizes[-1]
+    top = max(depths)
     x = np.empty((count, top))
     rows = _block_rows(top)
     for lo in range(0, count, rows):
         _sample_block(model, top, seed, start + lo, min(rows, count - lo), out=x[lo : lo + rows])
-    results, errors = [], []
-    for n, d in zip(sizes, depths):
-        out, error = [], None
+    results = []
+    for k, (n, d) in enumerate(depths.items()):
         rows = _block_rows(n)
-        for lo in range(0, count, rows):
-            try:
-                out.append(measure(x[lo : lo + rows, :n], d, seed, start + lo, *extra))
-            except DegenerateSampleError as err:
-                error = err
-                break
-        results.append(out)
-        errors.append(error)
-    return results, errors
+        try:
+            results.append([measure(x[lo : lo + rows, :n], d, seed, start + lo, *extra)
+                            for lo in range(0, count, rows)])
+        except DegenerateSampleError as err:
+            return None, (k, err)
+    return results, None
 
 
 def _call(payload):
@@ -284,11 +283,10 @@ def _run_jobs(
     the largest n, so its row count depends on the sizes alone, never on the
     worker count, and results never depend on it.  The error raised is the
     one a loop over the sizes in the caller's order would meet first: that of
-    the first n with a replicate without a result, at its lowest replicate.
-    The pool takes the jobs in chunks, about four per worker, so that small
-    jobs do not each pay an inter-process round trip.  A serial run stops at
-    the first job with an error at the first n: earlier jobs had none there,
-    and later jobs hold only higher replicates, so that error is raised.
+    the least size index k a job failed at, from the first job failing there,
+    which holds the lowest replicate.  So a serial run stops at a job failing
+    at k = 0.  The pool takes the jobs in chunks, about four per worker, so
+    that small jobs do not each pay an inter-process round trip.
     """
     for n, d in depths.items():
         _check_depth(d, n)
@@ -297,29 +295,23 @@ def _run_jobs(
         raise ValueError("workers must be at least 1")
     if total < 1:
         raise ValueError("reps must be at least 1")
-    sizes = sorted(depths)
-    rows = _block_rows(sizes[-1]) * _JOB_BLOCKS
-    args = (model, sizes, [depths[n] for n in sizes], seed, measure, *extra)
+    rows = _block_rows(max(depths)) * _JOB_BLOCKS
+    args = (model, depths, seed, measure, *extra)
     payloads = [(start, min(rows, total - start), *args) for start in range(0, total, rows)]
     if workers == 1 or len(payloads) <= 1:
-        first = sizes.index(next(iter(depths)))
         jobs = []
         for payload in payloads:
             jobs.append(_call(payload))
-            if jobs[-1][1][first] is not None:
+            if jobs[-1][1] is not None and jobs[-1][1][0] == 0:
                 break
     else:
         chunksize = -(-len(payloads) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             jobs = list(pool.map(_call, payloads, chunksize=chunksize))
-    slices = {}
-    for n in depths:
-        k = sizes.index(n)
-        for _, errors in jobs:
-            if errors[k] is not None:
-                raise errors[k]
-        slices[n] = [r for results, _ in jobs for r in results[k]]
-    return slices
+    errors = [error for _, error in jobs if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return {n: [r for results, _ in jobs for r in results[k]] for k, n in enumerate(depths)}
 
 
 def null_statistics(spec: SimulationSpec, workers: int = 1) -> np.ndarray:
@@ -402,11 +394,9 @@ def size_under_finite_variance(
 
 
 def _ks_to_standard_normal(values: np.ndarray) -> float:
-    from scipy.special import ndtr  # the one use of the normal law outside its family
-
     v = np.sort(values)
     count = v.size
-    f = ndtr(v)
+    f = _normal().ndtr(v)
     grid = np.arange(1, count + 1) / count
     return float(max((grid - f).max(), (f - (grid - 1.0 / count)).max()))
 
@@ -443,11 +433,14 @@ def _diagnostics(
     The scales are scalars, taken once before the pool starts, and each
     summary divides its half of the pass by its own.  The centering scale is
     defined for the one-sided family only, so without `centering` it is not
-    taken and the centering summary is None.
+    taken, scipy's normal law is not loaded, and the centering summary is
+    None.
     """
     n, d = _integer(n, "n"), _integer(d, "d")
     reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
     center_scale = centering_scale(model, d, n) if centering else None
+    if centering:
+        _normal()  # the KS distance's normal law: a missing scipy fails before the pass
     gap_scale = truncated_sum_scale(model, d, n)
     threshold = _depth_threshold(model, d, n)
     jobs = _run_jobs(_diagnostic_job, workers, model, {n: d}, seed, reps, model, threshold)

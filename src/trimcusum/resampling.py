@@ -37,7 +37,7 @@ import numpy as np
 
 from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
-    _BLOCK_ELEMS, CusumPath, DegenerateSampleError, _Rows, _integer, _pair_sums, _tie_down,
+    _BLOCK_ELEMS, CusumPath, _Rows, _integer, _pair_sums, _tie_down,
     _trim_one, cusum_path, trim,
 )
 
@@ -112,8 +112,12 @@ def _sorted_quantile_and_error(v: np.ndarray, level: float) -> tuple[float, floa
 
 def empirical_quantile(values, level: float) -> float:
     """Ceiling order statistic: the ceil(B * level)-th smallest value, the
-    conservative convention shared by the resampling and Monte Carlo estimators."""
-    return _sorted_quantile_and_error(np.sort(np.asarray(values, dtype=float)), level)[0]
+    conservative convention shared by the resampling and Monte Carlo estimators.
+    NaN has no rank, so a NaN among the values is an error."""
+    v = np.sort(np.asarray(values, dtype=float))
+    if v.size and np.isnan(v[-1]):  # np.sort puts NaN last
+        raise ValueError("cannot take a quantile of values that include NaN")
+    return _sorted_quantile_and_error(v, level)[0]
 
 
 def trimmed_centered(sample, d: int) -> np.ndarray:
@@ -218,7 +222,8 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
             low = ws.low[:count]
             np.multiply(c[:count], np.uint32(n), out=low)  # prod mod 2**32, wrapping
             if np.minimum.reduce(low, axis=None) < threshold:  # rare unless n is near 2**32
-                redraw = np.flatnonzero((low < threshold).any(axis=1))
+                # Python ints, as start + row can pass the int64 range
+                redraw = np.flatnonzero((low < threshold).any(axis=1)).tolist()
     for row in redraw:
         idx[row // 2, :, row % 2] = _numpy_draw(plan, n, start + row)
     return idx.view(np.intp)  # every index is below n
@@ -309,8 +314,7 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     time would free and map the same memory again on every block wherever
     the allocator returns blocks of this size to the system at once.
     """
-    if trimmed.undefined().size:
-        raise DegenerateSampleError("all retained observations are identical")
+    trimmed.statistics()  # a sample without a statistic raises the kernel's error
     # At the kernel's scale 2**-e the trimmed values and their mean lie below
     # 1 in modulus, so |x| < 2, the resampled sums stay far inside the float
     # range and the path step's 2**-e fallback is never needed here.

@@ -10,6 +10,7 @@ import pytest
 
 from trimcusum import cli
 from trimcusum.cli import DataError, load_series, main
+from trimcusum.limit_dist import sup_bridge_quantile
 
 
 @pytest.fixture
@@ -147,6 +148,17 @@ def test_test_subcommand_degenerate_is_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "test", "--input", str(path), "--d", "2")
     assert code == 3
     assert "identical" in err
+
+
+def test_test_subcommand_csv_is_the_json_body_in_one_row(capsys, hand_csv):
+    # floats at full precision (repr), everything else as str
+    argv = ("test", "--input", hand_csv, "--d", "2", "--resample-B", "50")
+    code, out, _ = run_cli(capsys, *argv)
+    body = json.loads(out)
+    del body["config"]
+    row = [repr(v) if isinstance(v, float) else str(v) for v in body.values()]
+    expected = ",".join(body) + "\n" + ",".join(row) + "\n"
+    assert run_cli(capsys, *argv, "--format", "csv") == (code, expected, "")
 
 
 def test_test_subcommand_bad_depth(capsys, hand_csv):
@@ -342,6 +354,26 @@ def test_power_subcommand(capsys):
     assert all(0.0 <= r <= 1.0 for r in rates)
 
 
+@pytest.mark.parametrize(
+    "options, change_at, critical",
+    [
+        ((), 10, None),  # the defaults: n // 2 and the asymptotic value at the level
+        (("--change-at", "5", "--critical-value", "1.2"), 5, 1.2),
+    ],
+)
+def test_power_json_echoes_the_change_and_the_critical_value(capsys, options, change_at, critical):
+    argv = ("power", "--n", "20", "--reps", "10", "--seed", "2", *options)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["change_at"] == change_at
+    if critical is None:
+        critical = sup_bridge_quantile(0.95)
+    assert doc["config"]["critical_value"] == critical
+    csv_rows = run_cli(capsys, *argv)[1].splitlines()[1:]
+    assert [f"{s!r},{p!r}" for s, p in doc["points"]] == csv_rows
+
+
 def test_power_rejects_a_nan_critical_value(capsys):
     code, out, err = run_cli(
         capsys, "power", "--n", "20", "--reps", "10", "--critical-value", "nan"
@@ -360,6 +392,32 @@ def test_resample_subcommand(capsys, hand_csv):
     assert lines[0] == "value,level,B,standard_error"
     value = float(lines[1].split(",")[0])
     assert value > 0.0
+
+
+@pytest.mark.parametrize("mode", ["bootstrap", "permutation"])
+def test_resample_json_is_the_csv_estimate_with_its_config(capsys, hand_csv, mode):
+    argv = ("resample", "--input", hand_csv, "--d", "2", "--reps", "40", "--mode", mode)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--seed", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {
+        "subcommand": "resample", "input": hand_csv, "d": 2, "m": 5, "mode": mode,
+        "B": 40, "level": 0.95, "seed": 5,
+    }
+    row = run_cli(capsys, *argv, "--seed", "5")[1].splitlines()[1]
+    assert row == f"{doc['critical_value']!r},0.95,40,{doc['standard_error']!r}"
+
+
+def test_resample_and_test_name_a_constant_sample_alike(capsys, tmp_path):
+    # the resampler raises the kernel's error, as the statistic does: exit 3
+    path = tmp_path / "flat.csv"
+    path.write_text("2\n" * 20)
+    resampled = run_cli(capsys, "resample", "--input", str(path), "--d", "2")
+    assert resampled == run_cli(capsys, "test", "--input", str(path), "--d", "2")
+    assert resampled == (
+        3, "", "trimcusum: the trimmed sum of squares is zero (identical retained values) "
+        "or not finite\n",
+    )
 
 
 def test_diagnose_subcommand(capsys):
@@ -419,6 +477,29 @@ def test_output_file(capsys, tmp_path, hand_csv):
     assert out == ""
     report = json.loads(out_path.read_text())
     assert report["statistic"] == pytest.approx(0.65754, abs=1e-5)
+
+
+def test_output_into_a_missing_directory_is_a_data_error(capsys, tmp_path, hand_csv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "test", "--input", hand_csv, "--output", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"trimcusum: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b", "--n expects a comma-separated list of integers, got 'a,b'"),
+        ("100,x", "--n expects a comma-separated list of integers, got '100,x'"),
+        (",", "--n list is empty"),
+        (" , ", "--n list is empty"),
+    ],
+)
+def test_a_malformed_n_list_is_a_usage_error(capsys, text, message):
+    assert run_cli(capsys, "simulate", "--n", text, "--reps", "10") == (
+        2, "", f"trimcusum: {message}\n"
+    )
 
 
 def test_missing_input_is_data_error(capsys):

@@ -413,6 +413,30 @@ def test_serial_run_goes_on_past_an_error_of_a_later_size(monkeypatch):
     assert starts == [0, 160, 320]
 
 
+def test_a_job_stops_at_its_first_size_with_an_error(monkeypatch):
+    # one job of 160 rows at n = 400; replicate 5 has no result at 400, the
+    # first size in the caller's order, so the job never measures n = 100
+    measured = []
+
+    def measure(x, d, seed, start):
+        measured.append(x.shape[1])
+        if start <= 5 < start + x.shape[0] and x.shape[1] == 400:
+            raise DegenerateSampleError("replicate 5 at n=400")
+        return x.shape[0]
+
+    starts = counting_jobs(monkeypatch)
+    with pytest.raises(DegenerateSampleError, match=r"^replicate 5 at n=400$"):
+        montecarlo._run_jobs(measure, 1, gaussian(), {400: 2, 100: 2}, 0, 1000)
+    assert starts == [0]
+    assert measured == [400]
+
+
+def test_a_worker_count_below_one_is_rejected():
+    spec = SimulationSpec(MODEL, 100, 10)
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        null_statistics(spec, 0)
+
+
 def test_table_memory_stays_within_a_few_sample_blocks():
     # a table job draws its replicates once, at the largest n, into one array
     # (80 x 800 doubles here, 500 KB, four sample blocks), and each n sends it
@@ -453,7 +477,7 @@ def test_job_temporaries_stay_below_its_staging_array(monkeypatch, run):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         result = job(start, count, model, sizes, *args)
-        peaks.append((count * sizes[-1] * 8, tracemalloc.get_traced_memory()[1] - before))
+        peaks.append((count * max(sizes) * 8, tracemalloc.get_traced_memory()[1] - before))
         return result
 
     monkeypatch.setattr(montecarlo, "_job", traced_job)
@@ -672,6 +696,32 @@ def test_diagnose_is_one_pass_with_the_summaries_of_each_function_alone(monkeypa
         "centered": cli._sig6(gaps.centered_median),
         "uncentered": cli._sig6(gaps.uncentered_median),
     }
+
+
+def test_a_missing_normal_law_fails_the_centering_summary_before_any_draw(monkeypatch):
+    # the KS distance to N(0, 1) takes the normal law from scipy; without it
+    # the centering summary fails before the pass, and the gap summary, which
+    # needs no normal law, is what it is with scipy
+    model, n, d = one_sided_pareto(1.5), 2000, default_trim_depth(2000)
+    gaps = trim_truncation_divergence(model, n, d, 20, seed=4)
+
+    def missing():
+        raise ModuleNotFoundError("No module named 'scipy'")
+
+    pools = []
+    run_jobs = montecarlo._run_jobs
+
+    def counted(job, *args):
+        pools.append(job)
+        return run_jobs(job, *args)
+
+    monkeypatch.setattr(montecarlo, "_normal", missing)
+    monkeypatch.setattr(montecarlo, "_run_jobs", counted)
+    with pytest.raises(ModuleNotFoundError):
+        centering_normality_diagnostic(model, n, d, 20, seed=4)
+    assert pools == []
+    assert trim_truncation_divergence(model, n, d, 20, seed=4) == gaps
+    assert len(pools) == 1
 
 
 def test_overflowed_draws_beyond_both_thresholds_give_finite_gaps():

@@ -16,6 +16,7 @@ from trimcusum import (
     empirical_quantile,
     resampled_critical_value,
     resampled_path,
+    test_statistic as trimmed_statistic,
     trim,
     trimmed_centered,
     two_sided_pareto,
@@ -160,6 +161,26 @@ def test_empirical_quantile_ceiling_convention():
         empirical_quantile([1.0], 1.0)
 
 
+@pytest.mark.parametrize("values", [[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [np.nan]])
+@pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
+def test_empirical_quantile_rejects_nan(values, level):
+    # np.sort puts NaN last: [1, nan, 2] at 0.5 would give 2.0, and
+    # [nan, 1, 2] at 0.9 would give nan
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_quantile(values, level)
+
+
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_a_sample_without_a_statistic_has_the_kernels_error(mode):
+    # the resampler raises what the statistic itself raises on the sample
+    flat = np.full(20, 2.0)
+    with pytest.raises(DegenerateSampleError) as kernel:
+        trimmed_statistic(flat, 2)
+    with pytest.raises(DegenerateSampleError) as raised:
+        resampled_critical_value(flat, 2, ResamplePlan(m=20, mode=mode, replications=10))
+    assert str(raised.value) == str(kernel.value)
+
+
 def test_resampled_critical_value_single_replicate(hand_sample):
     plan = ResamplePlan(m=5, mode=WITH_REPLACEMENT, replications=1, seed=4)
     est = resampled_critical_value(hand_sample, 2, plan)
@@ -267,6 +288,35 @@ def test_indices_are_numpys_draws_bit_for_bit(seed, start, rows, n, m, mode):
         assert got.shape == ((rows + 1) // 2, m, 2)
         for row in range(rows):
             assert_array_equal(lane(got, row), numpy_draw(seed, start + row, n, m, mode))
+
+
+def test_indices_past_two_to_the_32_are_numpys_64_bit_draws():
+    # numpy draws every row where n passes 2**32; at m = 50 that takes 13 ms
+    plan = ResamplePlan(m=50, mode=WITH_REPLACEMENT, replications=1, seed=1)
+    n = 2**32 + 1
+    got = resampling._indices(plan, n, 3, 10, resampling._workspace(plan, n, 4))
+    assert got.shape == (4, 50, 2)
+    for row in range(7):
+        assert_array_equal(lane(got, row), stream_generator(1, 3 + row).integers(0, n, size=50))
+
+
+def test_redrawn_rows_past_the_int64_range_are_numpys_draws(monkeypatch):
+    # replicate 2**64 - 49 245 of seed 0 rejects its one candidate at
+    # n = 2**31 + 1, so numpy redraws it; its index does not fit an int64
+    seen = []
+    draw = resampling._numpy_draw
+
+    def spy(plan, n, replicate_index):
+        seen.append(replicate_index)
+        return draw(plan, n, replicate_index)
+
+    monkeypatch.setattr(resampling, "_numpy_draw", spy)
+    plan = ResamplePlan(m=1, mode=WITH_REPLACEMENT, replications=1, seed=0)
+    n, start = 2**31 + 1, 2**64 - 49_247
+    got = indices(plan, n, start, start + 3)
+    assert seen == [2**64 - 49_245]
+    for row in range(3):
+        assert_array_equal(lane(got, row), numpy_draw(0, start + row, n, 1, WITH_REPLACEMENT))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
