@@ -84,15 +84,12 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return gen
 
 
-def stream_uniforms(seed: int, stream: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """n uniforms from the given substream, nudged off 0 so (0,1) maps are safe.
-
-    With `out`, a float64 array of shape (n,), the uniforms are written into
-    it and it is returned.
-    """
+def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """A new array of the first n uniforms of substream `stream` of family
+    `seed`, with draws of 0 raised to U_FLOOR so that (0, 1) maps are safe."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n >= STREAM_STRIDE:
         raise ValueError("draw count exceeds the per-stream reservation")
-    u = stream_generator(seed, stream).random(n, out=out)
+    u = stream_generator(seed, stream).random(n)
     return np.maximum(u, U_FLOOR, out=u)

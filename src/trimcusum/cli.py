@@ -2,7 +2,7 @@
 curves, estimate resampled critical values, and print asymptotic quantiles.
 
 Exit status: 0 success (or no rejection), 1 rejection (test subcommand),
-2 usage error, 3 data error.
+2 usage error (a missing scipy included), 3 data error.
 """
 
 from __future__ import annotations
@@ -353,7 +353,11 @@ def _add_shared(sub, *names: str) -> None:
         sub.add_argument(f"--{name}", **_SHARED[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: building it costs
+    about 1.5 ms, and each parse fills a new namespace, so no call sees
+    another's options."""
     parser = argparse.ArgumentParser(
         prog="trimcusum",
         description="Trimmed CUSUM change-point test for heavy-tailed data.",
@@ -397,13 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process: building it costs about 1.5 ms,
-    and each parse fills a new namespace, so no call sees another's options."""
-    return build_parser()
-
-
 _COMMANDS = {
     "test": _cmd_test,
     "simulate": _cmd_simulate,
@@ -428,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"trimcusum: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:  # scipy, which the Gaussian family and diagnose load
+        print(f"trimcusum: this command needs {exc.name}, which cannot be imported", file=sys.stderr)
         return 2
     if args.output:
         try:

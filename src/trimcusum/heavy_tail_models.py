@@ -50,7 +50,6 @@ ONE_SIDED_PARETO = "one_sided_pareto"
 GAUSSIAN = "gaussian"
 
 _FAMILIES = (TWO_SIDED_PARETO, ONE_SIDED_PARETO, GAUSSIAN)
-_WEIGHT_TOL = 1e-12
 
 
 class UnsupportedModelError(ValueError):
@@ -71,14 +70,14 @@ def _normal():
 class TailModel:
     """A sampling law with Pareto-type tails (or the Gaussian control).
 
-    alpha is the tail index in (0, 2); p and q are the right/left tail weights
-    with p + q = 1.  The Gaussian family carries no tail parameters.
+    alpha is the tail index in (0, 2) and p in [0, 1] the right tail weight;
+    the left weight q = 1 - p is derived from it.  The Gaussian family carries
+    no tail parameters.
     """
 
     family: str
     alpha: float | None = None
     p: float = 0.5
-    q: float = 0.5
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -92,12 +91,15 @@ class TailModel:
             return
         if self.alpha is None or not 0.0 < self.alpha < 2.0:
             raise ValueError("tail index alpha must lie in (0, 2)")
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError("tail weights must lie in [0, 1]")
-        if abs(self.p + self.q - 1.0) > _WEIGHT_TOL:
-            raise ValueError("tail weights must satisfy p + q = 1")
-        if self.family == ONE_SIDED_PARETO and (self.p != 1.0 or self.q != 0.0):
-            raise ValueError("the one-sided family requires p = 1 and q = 0")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError("tail weight p must lie in [0, 1]")
+        if self.family == ONE_SIDED_PARETO and self.p != 1.0:
+            raise ValueError("the one-sided family requires p = 1")
+
+    @property
+    def q(self) -> float:
+        """The left tail weight, 1 - p."""
+        return 1.0 - self.p
 
     @property
     def is_pareto(self) -> bool:
@@ -106,12 +108,12 @@ class TailModel:
 
 def two_sided_pareto(alpha: float, p: float = 0.5) -> TailModel:
     """Two-sided Pareto-type model with right-tail weight p (left weight 1-p)."""
-    return TailModel(TWO_SIDED_PARETO, float(alpha), float(p), 1.0 - float(p))
+    return TailModel(TWO_SIDED_PARETO, float(alpha), float(p))
 
 
 def one_sided_pareto(alpha: float) -> TailModel:
     """Pareto-type model supported on (0, inf)."""
-    return TailModel(ONE_SIDED_PARETO, float(alpha), 1.0, 0.0)
+    return TailModel(ONE_SIDED_PARETO, float(alpha), 1.0)
 
 
 def gaussian() -> TailModel:

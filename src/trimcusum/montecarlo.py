@@ -285,8 +285,10 @@ def _run_jobs(
     one a loop over the sizes in the caller's order would meet first: that of
     the least size index k a job failed at, from the first job failing there,
     which holds the lowest replicate.  So a serial run stops at a job failing
-    at k = 0.  The pool takes the jobs in chunks, about four per worker, so
-    that small jobs do not each pay an inter-process round trip.
+    at k = 0.  The pool holds at most one process a job, as a forked pool
+    starts all of its workers at the first submit, and takes the jobs in
+    chunks, about four per worker, so that small jobs do not each pay an
+    inter-process round trip.
     """
     for n, d in depths.items():
         _check_depth(d, n)
@@ -305,6 +307,7 @@ def _run_jobs(
             if jobs[-1][1] is not None and jobs[-1][1][0] == 0:
                 break
     else:
+        workers = min(workers, len(payloads))
         chunksize = -(-len(payloads) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             jobs = list(pool.map(_call, payloads, chunksize=chunksize))

@@ -141,16 +141,15 @@ def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
 class _Workspace(NamedTuple):
     """The buffers of one critical-value run, all views of one allocation
     (_workspace), so that nothing of a block's size is allocated inside the
-    block loop.  The last four serve bootstrap blocks only and are empty for
+    block loop.  The last three serve bootstrap blocks only and are empty for
     permutations."""
 
     lanes: np.ndarray  # (pairs, width, 2) float64: the drawn values, summed in place
     sums: np.ndarray  # (2 pairs, m) float64: the partial sums, tied down in place
     product: np.ndarray  # (2 pairs, m) float64: the tie-down's S_m * k/m
     words: np.ndarray  # (2 pairs, ceil(m/2)) uint64: each row's raw Philox words
-    candidates: np.ndarray  # (2 pairs, m) uint64: each row's first m candidates times n
+    candidates: np.ndarray  # (2 pairs, m) <u8: each row's first m candidates times n
     indices: np.ndarray  # (pairs, m, 2) uint64: the drawn indices, in pairs
-    low: np.ndarray  # (2 pairs, m) uint32: those products' low words
 
 
 def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
@@ -166,9 +165,8 @@ def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
         ((rows, m), np.float64, rows * m),
         ((rows, m), np.float64, rows * m),
         ((rows, words), np.uint64, rows * words),
-        ((rows, raw), np.uint64, rows * raw),
+        ((rows, raw), "<u8", rows * raw),  # little-endian: its first half is the low word
         ((pairs, raw, 2), np.uint64, rows * raw),
-        ((rows, raw), np.uint32, pairs * raw),
     ]
     buffer = np.empty(sum(slots for _, _, slots in layout))
     views, offset = [], 0
@@ -192,12 +190,12 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
     prod mod 2**32 >= (2**32 - n) % n, and the index is prod >> 32.  So a row
     whose first m candidates are all accepted draws exactly their indices,
     and one pass over the whole block takes each row's ceil(m/2) raw words,
-    applies the rule and writes the indices straight into the row's lane;
-    the low words, prod mod 2**32, are the wrapped 32-bit product.  Every
-    other row, one with a rejected candidate among its first m (about one
-    in 14 500 at n = m = 1000) and every row where n passes 2**32, is drawn
-    by numpy itself.  Every array of the block's size is a view of the
-    workspace `ws`.
+    forms each product once in 64 bits, writes its high word straight into
+    the row's lane as the index and reads its low word, prod mod 2**32, as a
+    uint32 view of the product.  Every other row, one with a rejected
+    candidate among its first m (about one in 14 500 at n = m = 1000) and
+    every row where n passes 2**32, is drawn by numpy itself.  Every array of
+    the block's size is a view of the workspace `ws`.
     """
     m, count = plan.m, stop - start
     pairs = (count + 1) // 2
@@ -212,15 +210,14 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
             words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
         words[count:] = 0  # the unused lane of an odd block: index 0
         c = words.astype("<u8", copy=False).view("<u4")[:, :m]  # the 32-bit candidates
-        prod = ws.candidates[: 2 * pairs]
-        np.copyto(prod, c)
-        prod *= np.uint64(n)  # exact in 64 bits
+        # exact in 64 bits; the loop's dtype is explicit, as numpy 1.24's
+        # value-based casting would pick the uint32 loop and wrap the product
+        prod = np.multiply(c, np.uint64(n), out=ws.candidates[: 2 * pairs], dtype=np.uint64)
         np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
         threshold = (2**32 - n) % n
         redraw = ()
         if threshold:  # zero where n divides 2**32: every candidate is accepted
-            low = ws.low[:count]
-            np.multiply(c[:count], np.uint32(n), out=low)  # prod mod 2**32, wrapping
+            low = prod[:count].view("<u4")[:, 0::2]  # prod mod 2**32
             if np.minimum.reduce(low, axis=None) < threshold:  # rare unless n is near 2**32
                 # Python ints, as start + row can pass the int64 range
                 redraw = np.flatnonzero((low < threshold).any(axis=1)).tolist()

@@ -199,13 +199,11 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     k = 1..n, of each row of an (R, n) block into the (R, n) array `out` and
     returns the row-wise max modulus times 2**-exponent.
 
-    Several rows are summed in pairs (_pair_sums): they are copied into a
-    pair buffer, rows 2i and 2i + 1 as the two lanes of pair i and a zero
-    lane after an odd last row, with the same bits as one row at a time.
-    The buffer is freed before the tie-down takes its temporaries of the
-    block.  A lone row, as the one-sample functions and the command line's
-    test pass, is summed straight into `out` by a real cumulative sum: the
-    same adds in the same order, without the copy into a pair buffer.
+    The rows are summed in pairs (_pair_sums): they are copied into a pair
+    buffer, rows 2i and 2i + 1 as the two lanes of pair i and a zero lane
+    after an odd last row (a lone row included), with the same bits as one
+    row at a time.  The buffer is freed before the tie-down takes its
+    temporaries of the block.
 
     The k = n sum is exactly zero: S_n is computed once and k/n is exactly 1
     at k = n, so the subtraction cancels bit-for-bit.  A row whose sup is not
@@ -218,17 +216,14 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     invalid="ignore") around the call; _path_sup opens none of its own.
     """
     rows, n = y.shape
-    if rows == 1:
-        np.add.accumulate(y, axis=1, out=out)
-    else:
-        lanes = np.empty(((rows + 1) // 2, n, 2))
-        # two strided copies; one transposed copy of the block is about four
-        # times slower
-        lanes[:, :, 0] = y[0::2]
-        lanes[: rows // 2, :, 1] = y[1::2]
-        lanes[rows // 2 :, :, 1] = 0.0  # the pad lane of an odd block
-        _pair_sums(lanes, rows, out)
-        del lanes
+    lanes = np.empty(((rows + 1) // 2, n, 2))
+    # two strided copies; one transposed copy of the block is about four
+    # times slower
+    lanes[:, :, 0] = y[0::2]
+    lanes[: rows // 2, :, 1] = y[1::2]
+    lanes[rows // 2 :, :, 1] = 0.0  # the pad lane of an odd block
+    _pair_sums(lanes, rows, out)
+    del lanes
     sup = np.ldexp(np.maximum.reduce(np.abs(_tie_down(out, n)), axis=1), -exponent)
     if not np.isfinite(sup).all():
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
@@ -272,11 +267,12 @@ class _Rows(NamedTuple):
                 "the trimmed sum of squares is zero (identical retained values) or not finite")
         return self.scaled_sup / np.sqrt(self.scaled_sum_sq)
 
-    def sample(self, source: np.ndarray, d: int, i: int = 0) -> TrimmedSample:
-        css = float(self.centered_sum_sq[i])
-        sigma_hat = math.ldexp(math.sqrt(self.scaled_sum_sq[i] / source.size), int(self.exponent[i]))
-        threshold, mean = float(self.threshold[i]), float(self.mean[i])
-        return TrimmedSample(source, d, threshold, self.kept[i], mean, css, sigma_hat)
+    def sample(self, source: np.ndarray, d: int) -> TrimmedSample:
+        """The TrimmedSample of a one-row block, whose row is `source`."""
+        css = float(self.centered_sum_sq[0])
+        sigma_hat = math.ldexp(math.sqrt(self.scaled_sum_sq[0] / source.size), int(self.exponent[0]))
+        threshold, mean = float(self.threshold[0]), float(self.mean[0])
+        return TrimmedSample(source, d, threshold, self.kept[0], mean, css, sigma_hat)
 
 
 def _trim_rows(x: np.ndarray, d: int) -> _Rows:

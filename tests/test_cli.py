@@ -619,6 +619,23 @@ def test_pareto_paths_run_without_scipy(capsys, tmp_path):
         assert run_cli(capsys, *argv)[:2] == (0, out), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diagnose", "--n", "2000", "--reps", "10"),
+        ("simulate", "--family", "gaussian", "--n", "100", "--reps", "10"),
+    ],
+)
+def test_a_missing_scipy_is_a_one_line_usage_error(capsys, monkeypatch, argv):
+    # diagnose and the Gaussian family load scipy.special; without scipy they
+    # print one line naming it and exit 2, not 1, the status of a rejection
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("trimcusum: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "scipy" in err
+
+
 def test_gaussian_simulation_is_the_same_for_any_worker_count(capsys):
     # the parent loads the normal law when it builds the model, and the
     # forked workers inherit it

@@ -18,6 +18,7 @@ from trimcusum import (
     one_sided_pareto,
     quantile,
     sample_iid,
+    sample_substream,
     tail_survival,
     tail_survival_inv,
     truncated_sum_scale,
@@ -41,13 +42,30 @@ def test_model_validation():
     with pytest.raises(ValueError):
         TailModel("two_sided_pareto", alpha=0.0)
     with pytest.raises(ValueError):
-        TailModel("two_sided_pareto", alpha=1.5, p=0.7, q=0.7)
+        TailModel("two_sided_pareto", alpha=1.5, p=1.5)
     with pytest.raises(ValueError):
-        TailModel("one_sided_pareto", alpha=1.5, p=0.5, q=0.5)
+        TailModel("one_sided_pareto", alpha=1.5, p=0.5)
     with pytest.raises(ValueError):
         TailModel("gaussian", alpha=1.5)
     with pytest.raises(ValueError):
         TailModel("lognormal")
+
+
+def test_the_left_weight_is_derived_from_p():
+    # q is 1 - p, not a parameter: a model built directly draws what the
+    # factory's model draws, and a q beside p is refused
+    model = TailModel("two_sided_pareto", 1.5, 0.3)
+    assert model.q == 1.0 - 0.3
+    assert model == two_sided_pareto(1.5, 0.3)
+    assert_array_equal(sample_iid(model, 1000, seed=3), sample_iid(two_sided_pareto(1.5, 0.3), 1000, seed=3))
+    assert one_sided_pareto(1.5).q == 0.0
+    with pytest.raises(TypeError):
+        TailModel("two_sided_pareto", 1.5, 0.5, q=0.5)
+
+
+def test_a_substream_sample_needs_an_observation():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        sample_substream(two_sided_pareto(1.5), 0, 3, 4)
 
 
 def test_cdf_known_values():

@@ -437,6 +437,36 @@ def test_a_worker_count_below_one_is_rejected():
         null_statistics(spec, 0)
 
 
+def test_a_pool_holds_no_more_processes_than_jobs(monkeypatch):
+    # 2000 replicates at n = 100 are four jobs: a pool of 64 would fork 64
+    # processes at its first submit.  The stand-in pool maps in this process
+    # and starts none
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, iterable)
+
+    starts = counting_jobs(monkeypatch)
+    spec = SimulationSpec(MODEL, 100, 2000)
+    serial = null_statistics(spec)
+    assert len(starts) == 4
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+    assert_array_equal(null_statistics(spec, 64), serial)
+    assert pools == [(4, 1)]
+    assert len(starts) == 8
+
+
 def test_table_memory_stays_within_a_few_sample_blocks():
     # a table job draws its replicates once, at the largest n, into one array
     # (80 x 800 doubles here, 500 KB, four sample blocks), and each n sends it

@@ -46,11 +46,6 @@ def test_streams_match_a_new_generator_bit_for_bit(seeds, streams, n):
         for seed in seeds:
             expected = np.maximum(reference(seed, stream).random(n), 2.0 ** -53)
             assert_array_equal(stream_uniforms(seed, stream, n), expected)
-            # a row of a block, written in place
-            block = np.full((2, n), np.nan)
-            stream_uniforms(seed, stream, n, out=block[1])
-            assert_array_equal(block[1], expected)
-            assert np.isnan(block[0]).all()
     for stream in streams:
         for seed in seeds:
             assert_array_equal(
@@ -91,6 +86,19 @@ def test_indices_outside_128_bits_are_rejected(seed, stream, message):
         stream_uniforms(seed, stream, 5)
     with pytest.raises(ValueError, match=re.escape(message)):
         stream_generator(seed, stream)
+
+
+@pytest.mark.parametrize(
+    "n, message", [(-1, "n must be nonnegative"), (STREAM_STRIDE, "exceeds the per-stream reservation")]
+)
+def test_draw_counts_outside_a_stream_are_rejected_before_any_draw(n, message):
+    # the shared generator is neither moved nor drawn from: it goes on with
+    # the stream it was at
+    gen = stream_generator(3, 4)
+    gen.random(5)
+    with pytest.raises(ValueError, match=message):
+        stream_uniforms(1, 2, n)
+    assert_array_equal(gen.random(3), reference(3, 4).random(8)[5:])
 
 
 def test_seeds_outside_128_bits_are_rejected_by_the_specs():

@@ -138,6 +138,20 @@ def test_cusum_path_centering_invariance():
         assert_allclose(cusum_path(y + c).points, cusum_path(y).points, atol=1e-9 * max(scale, c))
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], "nonempty one-dimensional"),
+        ([], "nonempty one-dimensional"),
+        ([1.0, np.inf, 2.0], "finite"),
+        ([1.0, np.nan], "finite"),
+    ],
+)
+def test_cusum_path_validation(terms, message):
+    with pytest.raises(ValueError, match=message):
+        cusum_path(terms)
+
+
 def test_cusum_path_length_one_is_zero():
     path = cusum_path([5.0])
     assert_array_equal(path.points, [0.0, 0.0])
