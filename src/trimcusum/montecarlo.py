@@ -16,7 +16,6 @@ end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -288,7 +287,9 @@ def _run_jobs(
     at k = 0.  The pool holds at most one process a job, as a forked pool
     starts all of its workers at the first submit, and takes the jobs in
     chunks, about four per worker, so that small jobs do not each pay an
-    inter-process round trip.
+    inter-process round trip.  concurrent.futures, and the multiprocessing
+    modules under it, are imported by the first run that starts a pool, so a
+    serial run, and the command line's start, load none of them.
     """
     for n, d in depths.items():
         _check_depth(d, n)
@@ -307,6 +308,8 @@ def _run_jobs(
             if jobs[-1][1] is not None and jobs[-1][1][0] == 0:
                 break
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(workers, len(payloads))
         chunksize = -(-len(payloads) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -405,12 +408,13 @@ def _ks_to_standard_normal(values: np.ndarray) -> float:
 
 
 def _diagnostic_job(
-    x: np.ndarray, d: int, seed: int, start: int, model: TailModel, threshold: float
+    x: np.ndarray, d: int, seed: int, start: int, model: TailModel, threshold: float | None
 ):
-    """Both diagnostics of each row of a block whose row i is replicate
+    """The diagnostics of each row of a block whose row i is replicate
     start + i, unscaled: the mean shift at the row's trim threshold eta, and
     the sups of its trimmed-minus-truncated gap terms centered by that shift
-    and uncentered.  `threshold` is the truncation threshold H^-1(d/n).
+    and uncentered.  `threshold` is the truncation threshold H^-1(d/n); None
+    asks for the shift alone, and no gap term is formed.
 
     A row with d or more draws past the float range has eta = inf and no
     diagnostic; the first is reported before any arithmetic on it.
@@ -420,43 +424,48 @@ def _diagnostic_job(
     infinite = np.flatnonzero(np.isinf(eta))
     if infinite.size:
         raise _overflow_error(start + int(infinite[0]), seed, n, d, "diagnostic")
+    shift = mean_shift(model, eta, d, n)
+    if threshold is None:
+        return (shift,)
     terms = _gap_terms(x, kept, threshold)
     del kept  # freed before the sups take their temporaries of the block
-    shift = mean_shift(model, eta, d, n)
     return shift, _gap_sup(terms, shift), _gap_sup(terms, 0.0)
 
 
 def _diagnostics(
     model: TailModel, n: int, d: int, reps: int, seed: int = 0, workers: int = 1,
-    centering: bool = True,
-) -> tuple[DiagnosticSummary | None, GapSummary]:
+    centering: bool = True, gaps: bool = True,
+) -> tuple[DiagnosticSummary | None, GapSummary | None]:
     """The centering and gap summaries from one pass: each replicate is drawn,
     trimmed and measured once (_diagnostic_job), in one pool.
 
     The scales are scalars, taken once before the pool starts, and each
-    summary divides its half of the pass by its own.  The centering scale is
-    defined for the one-sided family only, so without `centering` it is not
-    taken, scipy's normal law is not loaded, and the centering summary is
-    None.
+    summary divides its half of the pass by its own.  A half that is not
+    asked for is None, and the pass does not measure it: without `centering`
+    the centering scale is not taken and scipy's normal law is not loaded
+    (the scale is defined for the one-sided family only); without `gaps` no
+    gap term or sup is formed.
     """
     n, d = _integer(n, "n"), _integer(d, "d")
     reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
     center_scale = centering_scale(model, d, n) if centering else None
     if centering:
         _normal()  # the KS distance's normal law: a missing scipy fails before the pass
-    gap_scale = truncated_sum_scale(model, d, n)
-    threshold = _depth_threshold(model, d, n)
+    gap_scale = truncated_sum_scale(model, d, n) if gaps else None
+    threshold = _depth_threshold(model, d, n) if gaps else None
     jobs = _run_jobs(_diagnostic_job, workers, model, {n: d}, seed, reps, model, threshold)
-    shifts, centered, uncentered = (np.concatenate(col) for col in zip(*jobs[n]))
-    summary = None
+    shifts, *sups = (np.concatenate(col) for col in zip(*jobs[n]))
+    summary = gap_summary = None
     if centering:
         vals = n * shifts / center_scale
         variance = float(np.var(vals, ddof=1)) if reps > 1 else None
         summary = DiagnosticSummary(float(np.mean(vals)), variance, _ks_to_standard_normal(vals))
-    gaps = GapSummary(
-        float(np.median(centered / gap_scale)), float(np.median(uncentered / gap_scale))
-    )
-    return summary, gaps
+    if gaps:
+        centered, uncentered = sups
+        gap_summary = GapSummary(
+            float(np.median(centered / gap_scale)), float(np.median(uncentered / gap_scale))
+        )
+    return summary, gap_summary
 
 
 def centering_normality_diagnostic(
@@ -469,9 +478,9 @@ def centering_normality_diagnostic(
     varying densities this is asymptotically standard normal; the summary
     reports the sample mean, sample variance (absent when reps = 1) and the
     KS distance to N(0, 1).  It is the centering half of _diagnostics, whose
-    pass also measures the gaps.
+    pass then takes no gap term.
     """
-    return _diagnostics(model, n, d, reps, seed, workers)[0]
+    return _diagnostics(model, n, d, reps, seed, workers, gaps=False)[0]
 
 
 def trim_truncation_divergence(

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -134,3 +135,57 @@ def test_cli_import_loads_neither_optimize_nor_stats():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from trimcusum.cli import main
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(list(args))
+    return status, out.getvalue()
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+
+table = ("simulate", "--n", "100", "--reps", "2000")
+serial = run(*table, "--workers", "1")
+calls = [
+    run("test", "--input", sys.argv[1], "--resample-B", "200"),
+    run("resample", "--input", sys.argv[1], "--reps", "200"),
+    run("quantile", "--level", "0.95"),
+]
+after_serial = pool_modules()
+pooled = run(*table, "--workers", "2")
+print(json.dumps({
+    "statuses": [serial[0]] + [status for status, _ in calls],
+    "after_serial": after_serial,
+    "after_pool": pool_modules(),
+    "same_table": pooled == serial,
+}))
+"""
+
+
+def test_serial_runs_never_load_the_process_pool(tmp_path):
+    # a fresh interpreter, as in the test above: concurrent.futures and the
+    # multiprocessing modules under it are imported by the first run that
+    # starts a pool, and a serial run starts none
+    series = tmp_path / "series.csv"
+    values = trimcusum.sample_iid(trimcusum.two_sided_pareto(1.5), 300, seed=11)
+    series.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    package_root = str(Path(trimcusum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, str(series)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report["statuses"][0] == 0 and report["statuses"][2:] == [0, 0]
+    assert report["statuses"][1] in (0, 1)  # keep or reject H0
+    assert report["after_serial"] == []
+    assert "concurrent.futures.process" in report["after_pool"]
+    assert "multiprocessing" in report["after_pool"]
+    assert report["same_table"]

@@ -461,7 +461,7 @@ def test_a_pool_holds_no_more_processes_than_jobs(monkeypatch):
     spec = SimulationSpec(MODEL, 100, 2000)
     serial = null_statistics(spec)
     assert len(starts) == 4
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     assert_array_equal(null_statistics(spec, 64), serial)
     assert pools == [(4, 1)]
     assert len(starts) == 8
@@ -615,6 +615,69 @@ def test_power_curve_workers_bit_identical():
     spec = SimulationSpec(MODEL, n=50, replications=400, master_seed=4)
     pspec = PowerSpec(base=spec, change_at=25, critical_value=1.3, shift_grid=(-2.0, 0.0, 2.0))
     assert power_curve(pspec, workers=1) == power_curve(pspec, workers=2)
+
+
+EDGE_SPEC = SimulationSpec(MODEL, n=60, replications=300, master_seed=12)
+EDGE_GRID = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+
+def power_by_replicate(spec, change_at, grid, crit, sample=generate_null):
+    """The power curve from one replicate at a time: its null draw, shifted
+    after `change_at`, rejects when its statistic exceeds `crit`."""
+    d = spec.trim_depth
+    nulls = [sample(spec, r) for r in range(spec.replications)]
+    curve = []
+    for shift in grid:
+        rejections = 0
+        for x in nulls:
+            shifted = x.copy()
+            shifted[change_at:] += shift
+            rejections += trimmed_statistic(shifted, d) > crit
+        curve.append((shift, rejections / spec.replications))
+    return curve
+
+
+EDGE_CHANGES = {
+    "1": lambda n, d: 1,
+    "d": lambda n, d: d,
+    "n-d": lambda n, d: n - d,
+    "n-1": lambda n, d: n - 1,
+}
+
+
+@pytest.mark.parametrize("change", EDGE_CHANGES.values(), ids=EDGE_CHANGES.keys())
+def test_power_curve_at_the_edge_change_locations_matches_the_replicate_loop(change):
+    # a change after the first value, after the last, and at the trim depth
+    # from either end: one segment then holds fewer than 2d values
+    spec = EDGE_SPEC
+    change_at = change(spec.n, spec.trim_depth)
+    pspec = PowerSpec(base=spec, change_at=change_at, critical_value=1.2, shift_grid=EDGE_GRID)
+    assert power_curve(pspec) == power_by_replicate(spec, change_at, EDGE_GRID, 1.2)
+
+
+def test_power_curve_on_tied_moduli_matches_the_replicate_loop(monkeypatch):
+    # draws rounded to integers, shifted by integers and halves: moduli tie
+    # within a segment and across the change, at the trim threshold of more
+    # than a quarter of the rows too, where the inclusive rule keeps them all
+    spec = EDGE_SPEC
+    sample_block = montecarlo._sample_block
+
+    def rounded_block(*args, out):
+        return np.round(sample_block(*args, out=out), out=out)
+
+    def rounded_null(spec, replicate):
+        return np.round(generate_null(spec, replicate))
+
+    monkeypatch.setattr(montecarlo, "_sample_block", rounded_block)
+    ties = 0
+    for r in range(spec.replications):
+        moduli = np.sort(np.abs(rounded_null(spec, r)))
+        ties += moduli[-spec.trim_depth] == moduli[-spec.trim_depth - 1]
+    assert ties > spec.replications // 4
+    for change_at in (1, 30, spec.n - 1):
+        pspec = PowerSpec(base=spec, change_at=change_at, critical_value=1.2, shift_grid=EDGE_GRID)
+        expected = power_by_replicate(spec, change_at, EDGE_GRID, 1.2, sample=rounded_null)
+        assert power_curve(pspec) == expected
 
 
 def test_power_spec_validation():
@@ -779,6 +842,26 @@ def test_rows_with_an_infinite_trim_threshold_are_named(workers):
         for diagnostic in (centering_normality_diagnostic, trim_truncation_divergence):
             with pytest.raises(DegenerateSampleError, match=named):
                 diagnostic(model, 1000, 2, 50, workers=workers)
+
+
+def test_a_centering_only_pass_forms_no_gap_term(monkeypatch):
+    # the centering summary needs each row's trim threshold alone: its pass
+    # takes no gap term and no sup, gives the summary of the pass that takes
+    # both, and still names a replicate whose trim threshold is inf
+    model, n, d = one_sided_pareto(1.5), 2000, default_trim_depth(2000)
+    both = montecarlo._diagnostics(model, n, d, 30, 4)
+
+    def unwanted(*args):
+        raise AssertionError("a gap term was formed")
+
+    monkeypatch.setattr(montecarlo, "_gap_terms", unwanted)
+    monkeypatch.setattr(montecarlo, "_gap_sup", unwanted)
+    assert montecarlo._diagnostics(model, n, d, 30, 4, gaps=False) == (both[0], None)
+    assert centering_normality_diagnostic(model, n, d, 30, seed=4) == both[0]
+    overflowed = montecarlo._overflow_error(0, 0, 1000, 2, "diagnostic")
+    with pytest.raises(DegenerateSampleError) as err:
+        centering_normality_diagnostic(one_sided_pareto(0.01), 1000, 2, 50)
+    assert str(err.value) == str(overflowed)
 
 
 def test_a_depth_threshold_past_the_float_range_is_a_named_value_error():
