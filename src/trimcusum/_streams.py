@@ -44,11 +44,18 @@ _local = threading.local()
 
 
 def _check_index(value: int, name: str) -> int:
-    """value as an int, or a ValueError naming it if it lies outside [0, 2**128)."""
-    value = operator.index(value)
-    if not 0 <= value < SEED_LIMIT:
-        raise ValueError(f"{name} must be an integer in [0, 2**128), got {value}")
-    return value
+    """value as an int, or a ValueError naming it if it lies outside [0, 2**128)
+    or is no integer.  A bool is not an index, though Python's is an int:
+    stream=True would draw stream 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if 0 <= value < SEED_LIMIT:
+                return value
+    raise ValueError(f"{name} must be an integer in [0, 2**128), got {value!r}")
 
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:

@@ -183,6 +183,7 @@ class GapSummary:
 
 def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
     """i.i.d. draw of length n from substream `replicate` of the master seed."""
+    replicate = _integer(replicate, "replicate")
     if not 0 <= replicate < spec.replications:
         raise ValueError(f"replicate {replicate} outside [0, {spec.replications})")
     return sample_substream(spec.model, spec.n, spec.master_seed, replicate)

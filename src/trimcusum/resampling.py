@@ -17,7 +17,11 @@ of one complex128 row, and sums them through the helper that the Monte Carlo
 kernel's path step also uses (trimmed_cusum._pair_sums): one complex
 cumulative sum runs two independent add chains per pass, and each lane's
 sums are the same IEEE adds in the same order as a real row's, so the layout
-changes no bit.  A bootstrap block takes the raw Philox words of each
+changes no bit.
+
+One function, _drawer, reads the plan's mode: it checks the size, sizes the
+block, carves every buffer of the call from one allocation and returns the
+block's writer.  A bootstrap block takes the raw Philox words of each
 replicate's first m candidates, applies numpy's own bounded-integer rule to
 the whole block at once, writing each replicate's indices straight into its
 lane, lets numpy itself draw the rare replicate with a rejected candidate
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,63 +129,94 @@ def trimmed_centered(sample, d: int) -> np.ndarray:
     return ts.trimmed_values - ts.trimmed_mean
 
 
-def _check_size(plan: ResamplePlan, n: int) -> None:
-    """Without replacement, a resample cannot be larger than the sample."""
-    if plan.mode == WITHOUT_REPLACEMENT and plan.m > n:
-        raise ValueError(f"without-replacement draws need m <= n, got m={plan.m} > n={n}")
-
-
 def _numpy_draw(plan: ResamplePlan, n: int, replicate_index: int) -> np.ndarray:
     """The replicate's m bootstrap indices into a sample of size n, drawn by
     numpy on the replicate's stream."""
     return stream_generator(plan.seed, replicate_index).integers(0, n, size=plan.m)
 
 
-class _Workspace(NamedTuple):
-    """The buffers of one critical-value run, all views of one allocation
-    (_workspace), so that nothing of a block's size is allocated inside the
-    block loop.  The last three serve bootstrap blocks only and are empty for
-    permutations."""
+def _drawer(x: np.ndarray, plan: ResamplePlan, replicates: int):
+    """The one place that reads the plan's mode: the buffers of blocks of up
+    to `replicates` replicates of the sample x, and the block's writer.
 
-    lanes: np.ndarray  # (pairs, width, 2) float64: the drawn values, summed in place
-    sums: np.ndarray  # (2 pairs, m) float64: the partial sums, tied down in place
-    product: np.ndarray  # (2 pairs, m) float64: the tie-down's S_m * k/m
-    words: np.ndarray  # (2 pairs, ceil(m/2)) uint64: each row's raw Philox words
-    candidates: np.ndarray  # (2 pairs, m) <u8: each row's first m candidates times n
-    indices: np.ndarray  # (pairs, m, 2) uint64: the drawn indices, in pairs
+    Returns (lanes, sums, product, draw).  `lanes` is an (h, width, 2)
+    float64 buffer of h pairs, as many as a block of about _BLOCK_ELEMS drawn
+    values holds and no more than the replicates need; a row is the whole
+    shuffled sample (width n) for a permutation, of which the first m are the
+    draw, and the draw itself (width m) for a bootstrap.  `sums` and
+    `product` are (2h, m) float64 arrays for the path step.  draw(start,
+    stop), for stop - start <= 2h, writes the drawn values of replicates
+    start..stop-1 into the lanes: replicate start + i is lane i % 2 of pair
+    i // 2.  When stop - start is odd, the last pair's second lane holds
+    values of x that belong to no replicate.
 
+    A permutation lane is x shuffled in place on the replicate's stream
+    (numpy's shuffle honours the lane's stride), after x + x*1j is copied
+    into the lanes' complex view; a bootstrap lane gathers x at the
+    replicate's indices (_indices), whose words, products and indices are
+    the drawer's bootstrap-only buffers.
 
-def _workspace(plan: ResamplePlan, n: int, pairs: int) -> _Workspace:
-    """The buffers of blocks of up to `pairs` pairs of replicates of a
-    sample of size n, carved from one float64 allocation."""
-    m, width = plan.m, _block_width(plan, n)
-    words = raw = 0  # the bootstrap buffers' widths
-    if plan.mode == WITH_REPLACEMENT:
-        words, raw = (m + 1) // 2, m
+    Every buffer is a view of one np.empty, and the caller keeps them for
+    all its blocks, so that nothing of a block's size is allocated inside the
+    block loop.  The one allocation matters beyond that: a buffer over
+    glibc's 128 KiB mmap threshold raises the allocator's thresholds once it
+    is freed, and later calls then reuse a heap that is never trimmed.  With
+    separate buffers under that threshold the heap is trimmed and grown back
+    call after call.  On a 2-vCPU Linux host with glibc, a traced perfbench
+    `observed` pass took 5 835 to 7 719 minor faults with separate buffers
+    against 133 to 280 with one allocation, and 20 resampled_critical_value
+    calls in a fresh interpreter (n = m = B = 1000, both modes, after one
+    warm-up each) 770 against 78.
+    """
+    n, m = x.size, plan.m
+    bootstrap = plan.mode == WITH_REPLACEMENT
+    if not bootstrap and m > n:
+        raise ValueError(f"without-replacement draws need m <= n, got m={m} > n={n}")
+    width = m if bootstrap else n
+    pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (replicates + 1) // 2)
     rows = 2 * pairs
-    layout = [  # (shape, dtype, float64 slots)
-        ((pairs, width, 2), np.float64, rows * width),
-        ((rows, m), np.float64, rows * m),
-        ((rows, m), np.float64, rows * m),
-        ((rows, words), np.uint64, rows * words),
-        ((rows, raw), "<u8", rows * raw),  # little-endian: its first half is the low word
-        ((pairs, raw, 2), np.uint64, rows * raw),
-    ]
-    buffer = np.empty(sum(slots for _, _, slots in layout))
+    layout = [((pairs, width, 2), np.float64), ((rows, m), np.float64), ((rows, m), np.float64)]
+    if bootstrap:
+        layout += [
+            ((rows, (m + 1) // 2), np.uint64),  # each row's raw Philox words
+            ((rows, m), "<u8"),  # the candidates times n; little-endian: low word first
+            ((pairs, m, 2), np.uint64),  # the drawn indices, in pairs
+        ]
+    # every dtype is 8 bytes wide, so a shape's size counts float64 slots
+    buffer = np.empty(sum(math.prod(shape) for shape, _ in layout))
     views, offset = [], 0
-    for shape, dtype, slots in layout:
-        views.append(buffer[offset : offset + slots].view(dtype).reshape(shape))
-        offset += slots
-    return _Workspace(*views)
+    for shape, dtype in layout:
+        size = math.prod(shape)
+        views.append(buffer[offset : offset + size].view(dtype).reshape(shape))
+        offset += size
+    lanes, sums, product = views[:3]
+    if bootstrap:
+        def draw(start: int, stop: int) -> None:
+            idx = _indices(plan, n, start, stop, *views[3:])
+            # every index is in range; the default mode="raise" would gather
+            # through a temporary buffer instead of straight into the block
+            np.take(x, idx, out=lanes[: idx.shape[0]], mode="clip")
+    else:
+        source = np.repeat(x, 2).view(np.complex128)
+        seed = plan.seed  # a local: the loop runs once a replicate
+
+        def draw(start: int, stop: int) -> None:
+            lanes[: (stop - start + 1) // 2].view(np.complex128)[..., 0] = source
+            for row in range(stop - start):
+                stream_generator(seed, start + row).shuffle(lanes[row // 2, :, row % 2])
+
+    return lanes, sums, product, draw
 
 
-def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) -> np.ndarray:
+def _indices(plan: ResamplePlan, n: int, start: int, stop: int, words: np.ndarray,
+             products: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The bootstrap indices of replicates start..stop-1 in pairs, written
-    into ws.indices and returned as an (h, m, 2) intp view with
+    into `indices` and returned as an (h, m, 2) intp view with
     h = ceil((stop - start) / 2): lane i % 2 of pair i // 2 is exactly
     _numpy_draw(plan, n, start + i).  When stop - start is odd, the last
     pair's second lane holds indices in [0, n) that belong to no
-    replicate.
+    replicate.  `words` is a (2h', ceil(m/2)) uint64 buffer, `products` a
+    (2h', m) <u8 buffer and `indices` an (h', m, 2) uint64 buffer, h' >= h.
 
     numpy's Generator.integers(0, n) for n <= 2**32 is Lemire's method on
     32-bit candidates c, which Philox serves as the low and then the high half
@@ -194,17 +228,16 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
     the row's lane as the index and reads its low word, prod mod 2**32, as a
     uint32 view of the product.  Every other row, one with a rejected
     candidate among its first m (about one in 14 500 at n = m = 1000) and
-    every row where n passes 2**32, is drawn by numpy itself.  Every array of
-    the block's size is a view of the workspace `ws`.
+    every row where n passes 2**32, is drawn by numpy itself.
     """
     m, count = plan.m, stop - start
     pairs = (count + 1) // 2
-    idx = ws.indices[:pairs]
+    idx = indices[:pairs]
     if n > 1 << 32:  # numpy's 64-bit rule
         idx.fill(0)
         redraw = range(count)
     else:
-        words = ws.words[: 2 * pairs]
+        words = words[: 2 * pairs]
         width, seed = words.shape[1], plan.seed  # locals: the loop runs once a replicate
         for row in range(count):
             words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
@@ -212,7 +245,7 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
         c = words.astype("<u8", copy=False).view("<u4")[:, :m]  # the 32-bit candidates
         # exact in 64 bits; the loop's dtype is explicit, as numpy 1.24's
         # value-based casting would pick the uint32 loop and wrap the product
-        prod = np.multiply(c, np.uint64(n), out=ws.candidates[: 2 * pairs], dtype=np.uint64)
+        prod = np.multiply(c, np.uint64(n), out=products[: 2 * pairs], dtype=np.uint64)
         np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
         threshold = (2**32 - n) % n
         redraw = ()
@@ -226,65 +259,19 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, ws: _Workspace) 
     return idx.view(np.intp)  # every index is below n
 
 
-def _block_width(plan: ResamplePlan, n: int) -> int:
-    """Values a replicate's row of a draw block holds: a shuffled row is the
-    whole sample, of which the first m are the draw; a bootstrap row is the
-    draw."""
-    return n if plan.mode == WITHOUT_REPLACEMENT else plan.m
-
-
-def _draw_source(x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
-    """What _draw_pairs reads: x for a bootstrap, and x in both lanes of one
-    complex row, x + x*1j, for a permutation, so that a block is filled by
-    copying whole complex values."""
-    if plan.mode == WITH_REPLACEMENT:
-        return x
-    return np.repeat(x, 2).view(np.complex128)
-
-
-def _draw_pairs(source: np.ndarray, plan: ResamplePlan, start: int, stop: int,
-                ws: _Workspace) -> None:
-    """The drawn values of replicates start..stop-1, written in pairs into
-    ws.lanes, an (h, _block_width(plan, n), 2) buffer of at least
-    ceil((stop - start) / 2) pairs: replicate start + i is lane i % 2 of pair
-    i // 2, and its first m values are its draw.  `source` is
-    _draw_source(x, plan).
-
-    A permutation lane is x shuffled in place on the replicate's stream; numpy's
-    shuffle honours the lane's stride, and its permutation(n) is arange(n) put
-    through the same shuffle, which draws one bounded integer per position
-    whatever the dtype, so the lane is x[permutation(n)] exactly.  A bootstrap
-    lane gathers x at the replicate's indices.  When stop - start is odd the
-    last pair's second lane holds values of x that belong to no replicate.
-    """
-    count = stop - start
-    pairs = (count + 1) // 2
-    lanes = ws.lanes
-    if plan.mode == WITH_REPLACEMENT:
-        # every index is in range; the default mode="raise" would gather
-        # through a temporary buffer instead of straight into the block
-        np.take(source, _indices(plan, source.size, start, stop, ws), out=lanes[:pairs],
-                mode="clip")
-        return
-    lanes[:pairs].view(np.complex128)[..., 0] = source
-    seed = plan.seed
-    for row in range(count):
-        stream_generator(seed, start + row).shuffle(lanes[row // 2, :, row % 2])
-
-
 def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
     """CUSUM path of one resample; deterministic in (x, plan, replicate_index)."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
         raise ValueError("x must be a nonempty vector of finite values")
+    replicate_index = _integer(replicate_index, "replicate_index")
     if not 0 <= replicate_index < plan.replications:
         raise ValueError(
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
-    _check_size(plan, arr.size)
-    ws = _workspace(plan, arr.size, 1)
-    _draw_pairs(_draw_source(arr, plan), plan, replicate_index, replicate_index + 1, ws)
-    return cusum_path(ws.lanes[0, : plan.m, 0])
+    lanes, _, _, draw = _drawer(arr, plan, 1)
+    draw(replicate_index, replicate_index + 1)
+    return cusum_path(lanes[0, : plan.m, 0])
 
 
 def resampled_critical_value(sample, d: int, plan: ResamplePlan) -> CriticalValueEstimate:
@@ -296,20 +283,16 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     """resampled_critical_value of the kernel's one-row output.  Replicate b
     draws from its own stream.
 
-    Each block of replicates is drawn in pairs into the lanes of one
-    workspace (_draw_pairs), each pair the real and imaginary lanes of one
-    complex128 row.  _pair_sums, the Monte Carlo path step's helper, sums
-    both lanes in one complex cumulative sum, bit-identical to one replicate
-    at a time, and copies them out lane by lane into the workspace's
-    contiguous (rows, m) sums, as _tie_down needs a whole block; they are
-    tied down, with the products in the workspace too, and reduced to their
-    row sups.  An odd B leaves the last pair's second lane unused: its values
-    are finite and never read.
-
-    The workspace is allocated once a call, and every array of a block's
-    size is a view of it, filled through out=: allocating them a block at a
-    time would free and map the same memory again on every block wherever
-    the allocator returns blocks of this size to the system at once.
+    Each block of replicates is drawn in pairs into the drawer's lanes
+    (_drawer), each pair the real and imaginary lanes of one complex128 row.
+    _pair_sums, the Monte Carlo path step's helper, sums both lanes in one
+    complex cumulative sum, bit-identical to one replicate at a time, and
+    copies them out lane by lane into the drawer's contiguous (rows, m) sums,
+    as _tie_down needs a whole block; they are tied down, with the products
+    in the drawer's buffer too, and reduced to their row sups.  An odd B
+    leaves the last pair's second lane unused: its values are finite and
+    never read.  The drawer's buffers are allocated once a call and serve
+    every block, filled through out=.
     """
     trimmed.statistics()  # a sample without a statistic raises the kernel's error
     # At the kernel's scale 2**-e the trimmed values and their mean lie below
@@ -317,18 +300,15 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     # range and the path step's 2**-e fallback is never needed here.
     e = trimmed.exponent[0]
     x = np.ldexp(trimmed.values[0], -e) - np.ldexp(trimmed.mean[0], -e)
-    _check_size(plan, x.size)
     m, b_total = plan.m, plan.replications
-    width = _block_width(plan, x.size)
-    pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (b_total + 1) // 2)
-    ws = _workspace(plan, x.size, pairs)
-    source = _draw_source(x, plan)
+    lanes, sums, product, draw = _drawer(x, plan, b_total)
+    block = 2 * lanes.shape[0]
     stats = np.empty(b_total)
-    for start in range(0, b_total, 2 * pairs):
-        stop = min(start + 2 * pairs, b_total)
-        _draw_pairs(source, plan, start, stop, ws)
+    for start in range(0, b_total, block):
+        stop = min(start + block, b_total)
+        draw(start, stop)
         count = stop - start
-        path = _tie_down(_pair_sums(ws.lanes[:, :m], count, ws.sums), m, ws.product[:count])
+        path = _tie_down(_pair_sums(lanes[:, :m], count, sums), m, product[:count])
         np.maximum.reduce(np.abs(path, out=path), axis=1, out=stats[start:stop])
     stats /= math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(m)
     stats.sort()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trimcusum import cli
+from trimcusum import cli, sample_iid, two_sided_pareto
 from trimcusum.cli import DataError, load_series, main
 from trimcusum.limit_dist import sup_bridge_quantile
 
@@ -406,6 +406,23 @@ def test_resample_json_is_the_csv_estimate_with_its_config(capsys, hand_csv, mod
     }
     row = run_cli(capsys, *argv, "--seed", "5")[1].splitlines()[1]
     assert row == f"{doc['critical_value']!r},0.95,40,{doc['standard_error']!r}"
+
+
+@pytest.mark.parametrize("m", ["1000", "333"])
+@pytest.mark.parametrize("mode", ["bootstrap", "permutation"])
+def test_test_and_resample_report_one_critical_value(capsys, tmp_path, mode, m):
+    # test resamples the kernel's trimmed values and resample trims the series
+    # itself: both must reach the same estimate, which test reports to 6 digits
+    path = tmp_path / "series.csv"
+    series = sample_iid(two_sided_pareto(1.5), 1000, seed=17).tolist()
+    path.write_text("".join(f"{v!r}\n" for v in series))
+    shared = ("--input", str(path), "--d", "6", "--seed", "23", "--mode", mode, "--m", m)
+    code, out, _ = run_cli(capsys, "test", *shared, "--resample-B", "500")
+    assert code in (0, 1)
+    tested = json.loads(out)["critical_value_resampled"]
+    code, out, _ = run_cli(capsys, "resample", *shared, "--reps", "500", "--format", "json")
+    assert code == 0
+    assert tested == float(f"{json.loads(out)['critical_value']:.6g}")
 
 
 def test_resample_and_test_name_a_constant_sample_alike(capsys, tmp_path):

@@ -160,7 +160,7 @@ def test_blocked_resampling_matches_replicate_loop(monkeypatch, block_rows, mode
     plan = ResamplePlan(m=m, mode=mode, replications=151, level=0.9, seed=4)
     # a block row holds n values in permutation mode and m in bootstrap mode,
     # and a block holds whole pairs of rows (7 rows' worth make 3 pairs)
-    width = resampling._block_width(plan, n)
+    width = n if mode == WITHOUT_REPLACEMENT else m
     if block_rows is not None:
         monkeypatch.setattr(resampling, "_BLOCK_ELEMS", block_rows * width)
     sample = sample_iid(two_sided_pareto(1.5), n, seed=n + m)

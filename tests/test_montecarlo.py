@@ -228,16 +228,8 @@ def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
     assert_array_equal(null_statistics(spec, workers), scalar)
 
     grid, crit = (-1.5, 0.0, 0.7), 1.2
-    expected = []
-    for shift in grid:
-        rejections = 0
-        for x in nulls:
-            shifted = x.copy()
-            shifted[20:] += shift
-            rejections += trimmed_statistic(shifted, d) > crit
-        expected.append((shift, rejections / spec.replications))
     pspec = PowerSpec(base=spec, change_at=20, critical_value=crit, shift_grid=grid)
-    assert power_curve(pspec, workers) == expected
+    assert power_curve(pspec, workers) == power_by_replicate(spec, 20, grid, crit)
 
 
 LONG_N = 20_000  # above 2**14, so its sample blocks hold one row

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,23 +239,30 @@ def lane(pairs, row):
 
 
 def paired_draw(plan, n, start, stop):
-    """The paired writer's lanes on x = 0..n-1, whose drawn values are the
-    drawn indices, trimmed to their first m columns.  The buffer has a spare
-    pair filled with NaN, which the draw must leave alone."""
+    """The drawer's lanes on x = 0..n-1, whose drawn values are the drawn
+    indices, trimmed to their first m columns.  The drawer holds a spare pair
+    filled with NaN, which the draw must leave alone; its block size is
+    lifted so that it holds every pair at any n."""
     x = np.arange(n, dtype=float)
     pairs = (stop - start + 1) // 2
-    ws = resampling._workspace(plan, n, pairs + 1)
-    ws.lanes.fill(np.nan)
-    resampling._draw_pairs(resampling._draw_source(x, plan), plan, start, stop, ws)
-    assert np.isnan(ws.lanes[pairs:]).all()
-    return ws.lanes[:pairs, : plan.m]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resampling, "_BLOCK_ELEMS", 1 << 62)
+        lanes, _, _, draw = resampling._drawer(x, plan, 2 * pairs + 2)
+    assert lanes.shape[0] == pairs + 1
+    lanes.fill(np.nan)
+    draw(start, stop)
+    assert np.isnan(lanes[pairs:]).all()
+    return lanes[:pairs, : plan.m]
 
 
 def indices(plan, n, start, stop):
     """The bootstrap indices of replicates start..stop-1 in pairs, drawn into
-    a workspace of exactly that many pairs."""
-    ws = resampling._workspace(plan, n, (stop - start + 1) // 2)
-    return resampling._indices(plan, n, start, stop, ws)
+    buffers of exactly that many pairs."""
+    pairs, m = (stop - start + 1) // 2, plan.m
+    words = np.empty((2 * pairs, (m + 1) // 2), np.uint64)
+    products = np.empty((2 * pairs, m), "<u8")
+    return resampling._indices(plan, n, start, stop, words, products,
+                               np.empty((pairs, m, 2), np.uint64))
 
 
 # 2**31 + 1 and 3 * 2**30 reject about 50 % and 25 % of the 32-bit candidates;
@@ -294,7 +305,7 @@ def test_indices_past_two_to_the_32_are_numpys_64_bit_draws():
     # numpy draws every row where n passes 2**32; at m = 50 that takes 13 ms
     plan = ResamplePlan(m=50, mode=WITH_REPLACEMENT, replications=1, seed=1)
     n = 2**32 + 1
-    got = resampling._indices(plan, n, 3, 10, resampling._workspace(plan, n, 4))
+    got = indices(plan, n, 3, 10)
     assert got.shape == (4, 50, 2)
     for row in range(7):
         assert_array_equal(lane(got, row), stream_generator(1, 3 + row).integers(0, n, size=50))
@@ -319,14 +330,19 @@ def test_redrawn_rows_past_the_int64_range_are_numpys_draws(monkeypatch):
         assert_array_equal(lane(got, row), numpy_draw(0, start + row, n, 1, WITH_REPLACEMENT))
 
 
+@pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
-def test_permutation_path_is_the_path_of_numpys_draw(n):
+def test_resampled_path_is_the_path_of_numpys_draw(n, mode):
+    # a bootstrap resample may be larger than the sample
     x = trimmed_centered(sample_iid(two_sided_pareto(1.5), max(n, 2), seed=n), 1)[:n]
-    for m in sorted({1, max(1, n // 3), n}):
-        plan = ResamplePlan(m=m, mode=WITHOUT_REPLACEMENT, replications=40, seed=n + m)
+    sizes = {1, max(1, n // 3), n}
+    if mode == WITH_REPLACEMENT:
+        sizes |= {n + 1, 2 * n}
+    for m in sorted(sizes):
+        plan = ResamplePlan(m=m, mode=mode, replications=40, seed=n + m)
         for b in (0, 1, 39):
             path = resampled_path(x, plan, b)
-            expected = cusum_path(x[numpy_draw(plan.seed, b, n, m, WITHOUT_REPLACEMENT)])
+            expected = cusum_path(x[numpy_draw(plan.seed, b, n, m, mode)])
             assert_array_equal(path.points, expected.points)
             assert (path.sup_abs, path.argmax_k) == (expected.sup_abs, expected.argmax_k)
 
@@ -399,3 +415,36 @@ def test_critical_value_is_the_quantile_of_a_per_replicate_loop(mode):
     est = resampled_critical_value(sample, d, plan)
     assert (est.value, est.standard_error) == (stats[18], (stats[20] - stats[16]) / 2)
     assert (est.level, est.replications) == (0.9, 21)
+
+
+_FAULT_PROBE = """
+import resource
+from trimcusum import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, ResamplePlan,
+                       resampled_critical_value, sample_iid, two_sided_pareto)
+x = sample_iid(two_sided_pareto(1.5), 1000, seed=1)
+plans = [ResamplePlan(m=1000, mode=mode, replications=1000, seed=seed)
+         for mode in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT) for seed in range(10)]
+for plan in plans[::10]:
+    resampled_critical_value(x, 5, plan)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for plan in plans:
+    resampled_critical_value(x, 5, plan)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's allocator thresholds")
+def test_repeated_critical_values_do_not_map_their_buffers_again():
+    # a fresh interpreter, so other tests' heap does not count.  On a 2-vCPU
+    # Linux host with glibc, 20 calls at n = m = B = 1000 (both modes, after
+    # one warm-up each) took 78-79 minor faults with every buffer of a call
+    # carved from one allocation, and 770 with the drawer's buffers allocated
+    # apart, each under glibc's 128 KiB mmap threshold, as the heap is then
+    # trimmed and grown back call after call
+    package_root = str(Path(resampling.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert int(result.stdout) < 300

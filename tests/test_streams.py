@@ -14,9 +14,12 @@ from trimcusum import (
     WITHOUT_REPLACEMENT,
     ResamplePlan,
     SimulationSpec,
+    generate_null,
     null_statistics,
     resampled_critical_value,
+    resampled_path,
     sample_iid,
+    sample_substream,
     two_sided_pareto,
 )
 from trimcusum import montecarlo, resampling
@@ -155,15 +158,43 @@ def test_numpy_integer_indices_draw_what_python_ints_draw(kind):
     assert_array_equal(stream_generator(big, big).random(3), reference(2**64 - 1, 2**64 - 1).random(3))
 
 
-def test_bools_floats_and_out_of_range_indices_keep_their_results():
-    # a bool is an int; a float is not an index at all
-    assert_array_equal(stream_generator(True, False).random(4), reference(1, 0).random(4))
-    for seed, stream in ((1.0, 0), (0, 2.0)):
-        with pytest.raises(TypeError):
+def test_bools_floats_and_out_of_range_indices_are_rejected_by_name():
+    # a bool is an int to Python and a float is no index; neither names a stream
+    for seed, stream, name in (
+        (True, 0, "seed"), (np.True_, 0, "seed"), (1.0, 0, "seed"),
+        (-1, 0, "seed"), (2**128, 0, "seed"),
+        (0, False, "stream index"), (0, np.False_, "stream index"), (0, 2.0, "stream index"),
+        (0, -1, "stream index"), (0, 2**128, "stream index"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*128\)"):
             stream_generator(seed, stream)
-    for seed, stream in ((-1, 0), (2**128, 0), (0, -1), (0, 2**128)):
-        with pytest.raises(ValueError, match=r"must be an integer in \[0, 2\*\*128\)"):
-            stream_generator(seed, stream)
+
+
+def _path_of_replicate(index):
+    x = np.linspace(-1.0, 1.0, 9)
+    return resampled_path(x, ResamplePlan(m=9, replications=3, seed=2), index).points
+
+
+SPEC = SimulationSpec(two_sided_pareto(1.5), n=20, replications=3, master_seed=4)
+
+# each public entry that takes a replicate, seed or stream index, and the name
+# its error gives that index
+INDEXED_ENTRIES = {
+    "resampled_path": (_path_of_replicate, "replicate_index"),
+    "generate_null": (lambda i: generate_null(SPEC, i), "replicate"),
+    "sample_iid": (lambda i: sample_iid(two_sided_pareto(1.5), 5, seed=i), "seed"),
+    "sample_substream": (lambda i: sample_substream(two_sided_pareto(1.5), 5, 0, i), "stream"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.0], ids=["True", "np.True_", "1.0"])
+@pytest.mark.parametrize("entry", INDEXED_ENTRIES.values(), ids=INDEXED_ENTRIES.keys())
+def test_a_bool_or_float_index_is_a_named_error(entry, bad):
+    # True would otherwise pick replicate, seed or stream 1 silently
+    call, name = entry
+    with pytest.raises(ValueError, match=name):
+        call(bad)
+    assert_array_equal(call(np.int64(1)), call(1))
 
 
 def test_threads_moving_in_lockstep_draw_their_own_streams():
