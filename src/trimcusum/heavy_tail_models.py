@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import stream_uniforms
-from .trimmed_cusum import _check_depth
+from .trimmed_cusum import _check_depth, _integer
 
 __all__ = [
     "TWO_SIDED_PARETO",
@@ -198,6 +198,7 @@ def quantile(model: TailModel, u):
 
 def sample_substream(model: TailModel, n: int, seed: int, stream: int) -> np.ndarray:
     """Inverse-CDF sample of size n from substream `stream` of seed `seed`."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     return _quantile_unchecked(model, stream_uniforms(seed, stream, n))

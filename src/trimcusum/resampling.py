@@ -13,11 +13,11 @@ b.  The critical value works through the replicates in blocks of about 128 KiB
 of drawn values (trimmed_cusum._BLOCK_ELEMS, the size of montecarlo's sample
 blocks), and one path step serves every row of a block.  A block holds its
 replicates in pairs, replicates 2i and 2i + 1 as the real and imaginary lanes
-of one complex128 row, and sums them through the helper that the Monte Carlo
-kernel's path step also uses (trimmed_cusum._pair_sums): one complex
-cumulative sum runs two independent add chains per pass, and each lane's
-sums are the same IEEE adds in the same order as a real row's, so the layout
-changes no bit.
+of one complex128 row, and goes through the path step that the Monte Carlo
+kernel also uses (trimmed_cusum._pair_sups), which sums, ties down and takes
+each row's sup: one complex cumulative sum runs two independent add chains
+per pass, and each lane's sums are the same IEEE adds in the same order as a
+real row's, so the layout changes no bit.
 
 One function, _drawer, reads the plan's mode: it checks the size, sizes the
 block, carves every buffer of the call from one allocation and returns the
@@ -40,8 +40,7 @@ import numpy as np
 
 from ._streams import SEED_LIMIT, stream_generator
 from .trimmed_cusum import (
-    _BLOCK_ELEMS, CusumPath, _Rows, _integer, _pair_sums, _tie_down,
-    _trim_one, cusum_path, trim,
+    _BLOCK_ELEMS, CusumPath, _Rows, _integer, _pair_sups, _trim_one, cusum_path, trim,
 )
 
 __all__ = [
@@ -139,12 +138,13 @@ def _drawer(x: np.ndarray, plan: ResamplePlan, replicates: int):
     """The one place that reads the plan's mode: the buffers of blocks of up
     to `replicates` replicates of the sample x, and the block's writer.
 
-    Returns (lanes, sums, product, draw).  `lanes` is an (h, width, 2)
-    float64 buffer of h pairs, as many as a block of about _BLOCK_ELEMS drawn
-    values holds and no more than the replicates need; a row is the whole
-    shuffled sample (width n) for a permutation, of which the first m are the
-    draw, and the draw itself (width m) for a bootstrap.  `sums` and
-    `product` are (2h, m) float64 arrays for the path step.  draw(start,
+    Returns (lanes, sums, draw).  `lanes` is an (h, width, 2) float64
+    buffer of h pairs, as many as a block of about _BLOCK_ELEMS drawn values
+    holds and no more than the replicates need; a row is the whole shuffled
+    sample (width n) for a permutation, of which the first m are the draw,
+    and the draw itself (width m) for a bootstrap.  `sums` is the (2h, m)
+    float64 block the path step writes its paths into; the step's products
+    and moduli reuse the lanes' memory (_pair_sups).  draw(start,
     stop), for stop - start <= 2h, writes the drawn values of replicates
     start..stop-1 into the lanes: replicate start + i is lane i % 2 of pair
     i // 2.  When stop - start is odd, the last pair's second lane holds
@@ -175,7 +175,7 @@ def _drawer(x: np.ndarray, plan: ResamplePlan, replicates: int):
     width = m if bootstrap else n
     pairs = min(max(1, _BLOCK_ELEMS // (2 * width)), (replicates + 1) // 2)
     rows = 2 * pairs
-    layout = [((pairs, width, 2), np.float64), ((rows, m), np.float64), ((rows, m), np.float64)]
+    layout = [((pairs, width, 2), np.float64), ((rows, m), np.float64)]
     if bootstrap:
         layout += [
             ((rows, (m + 1) // 2), np.uint64),  # each row's raw Philox words
@@ -189,10 +189,10 @@ def _drawer(x: np.ndarray, plan: ResamplePlan, replicates: int):
         size = math.prod(shape)
         views.append(buffer[offset : offset + size].view(dtype).reshape(shape))
         offset += size
-    lanes, sums, product = views[:3]
+    lanes, sums = views[:2]
     if bootstrap:
         def draw(start: int, stop: int) -> None:
-            idx = _indices(plan, n, start, stop, *views[3:])
+            idx = _indices(plan, n, start, stop, *views[2:])
             # every index is in range; the default mode="raise" would gather
             # through a temporary buffer instead of straight into the block
             np.take(x, idx, out=lanes[: idx.shape[0]], mode="clip")
@@ -205,7 +205,7 @@ def _drawer(x: np.ndarray, plan: ResamplePlan, replicates: int):
             for row in range(stop - start):
                 stream_generator(seed, start + row).shuffle(lanes[row // 2, :, row % 2])
 
-    return lanes, sums, product, draw
+    return lanes, sums, draw
 
 
 def _indices(plan: ResamplePlan, n: int, start: int, stop: int, words: np.ndarray,
@@ -269,7 +269,7 @@ def resampled_path(x, plan: ResamplePlan, replicate_index: int) -> CusumPath:
         raise ValueError(
             f"replicate_index {replicate_index} outside [0, {plan.replications})"
         )
-    lanes, _, _, draw = _drawer(arr, plan, 1)
+    lanes, _, draw = _drawer(arr, plan, 1)
     draw(replicate_index, replicate_index + 1)
     return cusum_path(lanes[0, : plan.m, 0])
 
@@ -285,14 +285,14 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
 
     Each block of replicates is drawn in pairs into the drawer's lanes
     (_drawer), each pair the real and imaginary lanes of one complex128 row.
-    _pair_sums, the Monte Carlo path step's helper, sums both lanes in one
-    complex cumulative sum, bit-identical to one replicate at a time, and
+    _pair_sups, the Monte Carlo kernel's path step too, sums both lanes in
+    one complex cumulative sum, bit-identical to one replicate at a time,
     copies them out lane by lane into the drawer's contiguous (rows, m) sums,
-    as _tie_down needs a whole block; they are tied down, with the products
-    in the drawer's buffer too, and reduced to their row sups.  An odd B
-    leaves the last pair's second lane unused: its values are finite and
-    never read.  The drawer's buffers are allocated once a call and serve
-    every block, filled through out=.
+    ties them down and writes their row sups straight into the replicates'
+    statistics; its products and moduli reuse the lanes, which the next
+    block's draw overwrites.  An odd B leaves the last pair's second lane
+    unused: its values are finite and never read.  The drawer's buffers are
+    allocated once a call and serve every block.
     """
     trimmed.statistics()  # a sample without a statistic raises the kernel's error
     # At the kernel's scale 2**-e the trimmed values and their mean lie below
@@ -301,15 +301,13 @@ def _critical_value(trimmed: _Rows, plan: ResamplePlan) -> CriticalValueEstimate
     e = trimmed.exponent[0]
     x = np.ldexp(trimmed.values[0], -e) - np.ldexp(trimmed.mean[0], -e)
     m, b_total = plan.m, plan.replications
-    lanes, sums, product, draw = _drawer(x, plan, b_total)
+    lanes, sums, draw = _drawer(x, plan, b_total)
     block = 2 * lanes.shape[0]
     stats = np.empty(b_total)
     for start in range(0, b_total, block):
         stop = min(start + block, b_total)
         draw(start, stop)
-        count = stop - start
-        path = _tie_down(_pair_sums(lanes[:, :m], count, sums), m, product[:count])
-        np.maximum.reduce(np.abs(path, out=path), axis=1, out=stats[start:stop])
+        _pair_sups(lanes, stop - start, m, sums, stats[start:stop])
     stats /= math.sqrt(trimmed.scaled_sum_sq[0] / x.size) * math.sqrt(m)
     stats.sort()
     value, standard_error = _sorted_quantile_and_error(stats, plan.level)

@@ -8,10 +8,11 @@ standard-deviation estimate times sqrt(n).  One row-batched kernel,
 _trim_rows, computes all of it; the one-sample functions here, the Monte Carlo
 jobs and the CLI call it.  Its path step, _path_sup, which also builds every
 path cusum_path returns, owns the float-range fallback (summing again at
-2**-e).  Both hot loops, this path step and the resampler's, sum their
-paths in pairs of rows through one helper, _pair_sums: two rows as the two
-lanes of one complex128 row, with the same bits as one row at a time.  The
-resampler sums at the kernel's scale, where no fallback is needed.
+2**-e).  Both hot loops, this path step and the resampler's, end in one
+helper, _pair_sups, which sums their paths in pairs of rows (two rows as the
+two lanes of one complex128 row, with the same bits as one row at a time),
+ties them down and takes each row's sup, in the pair buffer's own memory.
+The resampler sums at the kernel's scale, where no fallback is needed.
 """
 
 from __future__ import annotations
@@ -154,30 +155,20 @@ def _trim_rule(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _tie_down_weights(n: int) -> np.ndarray:
-    """k/n for k = 1..n, read-only, as _tie_down uses it."""
+    """k/n for k = 1..n, read-only, as _pair_sups uses it."""
     weights = np.arange(1, n + 1) / n
     weights.flags.writeable = False
     return weights
 
 
-def _tie_down(sums: np.ndarray, n: int, product: np.ndarray | None = None) -> np.ndarray:
-    """S_k - S_n * (k/n), in place, on each row of partial sums S_1..S_n of
-    n terms.  Callers pass a whole contiguous block, not a column slice of
-    several rows, which numpy would loop over row by row.  The products
-    S_n * (k/n) are written into `product`, an array of the block's shape,
-    if given, and into a temporary otherwise."""
-    # einsum's outer product allocates no broadcasting buffers, where
-    # multiply would add two of 64 KiB to a block's temporaries; it gives the
-    # same products, but +0.0 for -0.0
-    sums -= np.einsum("i,j->ij", sums[:, -1], _tie_down_weights(n), out=product)
-    return sums
-
-
-def _pair_sums(lanes: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
-    """The partial sums S_1..S_n of `count` rows held in pairs, written into
-    out[:count] and returned.  `lanes` is an (h, n, 2) float64 buffer, its
-    last axis contiguous, with h >= ceil(count / 2): row i is lane i % 2 of
-    pair i // 2.  The lanes are summed in place.
+def _pair_sups(lanes: np.ndarray, count: int, m: int, out: np.ndarray,
+               sups: np.ndarray | None = None) -> np.ndarray:
+    """The path step of `count` rows held in pairs: their partial sums
+    S_1..S_m, tied down to S_k - S_m * (k/m) in out[:count], and each row's
+    max modulus, written into `sups` if given and returned.  `lanes` is a
+    C-contiguous (h, w, 2) float64 buffer with h >= ceil(count / 2) and
+    w >= m: row i is the first m terms of lane i % 2 of pair i // 2.  The
+    lanes are summed in place and then overwritten.
 
     One cumulative sum on the buffer's complex128 view runs two independent
     add chains per pass, about half the time of two real rows, whose serial
@@ -185,13 +176,22 @@ def _pair_sums(lanes: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     imaginary parts apart, so each lane's sums are the same IEEE adds in the
     same order as a real row's, and the layout changes no bit.  When count is
     odd, the last pair's second lane is summed and not read.
+
+    Once the sums are copied out lane by lane into the contiguous block
+    out[:count], the lanes' memory holds the products S_m * (k/m) and then
+    the moduli, so the step allocates nothing of the block's size.
     """
     h = (count + 1) // 2
-    paired = lanes[:h].view(np.complex128)[..., 0]
+    paired = lanes[:h, :m].view(np.complex128)[..., 0]
     np.add.accumulate(paired, axis=1, out=paired)
-    out[0:count:2] = lanes[:h, :, 0]
-    out[1:count:2] = lanes[: count // 2, :, 1]
-    return out[:count]
+    out[0:count:2] = lanes[:h, :m, 0]
+    out[1:count:2] = lanes[: count // 2, :m, 1]
+    path, spare = out[:count], lanes.reshape(-1)[: count * m].reshape(count, m)
+    # einsum's outer product allocates no broadcasting buffers, where
+    # multiply would add two of 64 KiB to a block's temporaries; it gives the
+    # same products, but +0.0 for -0.0
+    path -= np.einsum("i,j->ij", path[:, -1], _tie_down_weights(m), out=spare)
+    return np.maximum.reduce(np.abs(path, out=spare), axis=1, out=sups)
 
 
 def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -199,11 +199,10 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     k = 1..n, of each row of an (R, n) block into the (R, n) array `out` and
     returns the row-wise max modulus times 2**-exponent.
 
-    The rows are summed in pairs (_pair_sums): they are copied into a pair
-    buffer, rows 2i and 2i + 1 as the two lanes of pair i and a zero lane
-    after an odd last row (a lone row included), with the same bits as one
-    row at a time.  The buffer is freed before the tie-down takes its
-    temporaries of the block.
+    The rows are copied into a pair buffer, rows 2i and 2i + 1 as the two
+    lanes of pair i and a zero lane after an odd last row (a lone row
+    included), and _pair_sups sums, ties down and reduces them there, with
+    the same bits as one row at a time.
 
     The k = n sum is exactly zero: S_n is computed once and k/n is exactly 1
     at k = n, so the subtraction cancels bit-for-bit.  A row whose sup is not
@@ -222,9 +221,7 @@ def _path_sup(y: np.ndarray, exponent: np.ndarray, out: np.ndarray) -> np.ndarra
     lanes[:, :, 0] = y[0::2]
     lanes[: rows // 2, :, 1] = y[1::2]
     lanes[rows // 2 :, :, 1] = 0.0  # the pad lane of an odd block
-    _pair_sums(lanes, rows, out)
-    del lanes
-    sup = np.ldexp(np.maximum.reduce(np.abs(_tie_down(out, n)), axis=1), -exponent)
+    sup = np.ldexp(_pair_sups(lanes, rows, n, out), -exponent)
     if not np.isfinite(sup).all():
         big = ~np.isfinite(sup) & (exponent != 0)  # at exponent 0 a second sum is the same
         if big.any():

@@ -31,7 +31,7 @@ from trimcusum import (
     trimmed_centered,
     two_sided_pareto,
 )
-from trimcusum.trimmed_cusum import _trim_rows
+from trimcusum.trimmed_cusum import _pair_sups, _trim_rows
 
 
 def reference_path(y):
@@ -134,6 +134,30 @@ def test_statistics_raise_on_a_row_without_a_statistic(bad):
 def test_statistics_of_an_empty_block_are_empty():
     rows = _trim_rows(np.empty((0, 20)), 2)
     assert rows.statistics().shape == (0,)
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["returned", "into"])
+@pytest.mark.parametrize("extra", [0, 5], ids=["w=m", "w>m"])
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+def test_pair_sups_are_the_reference_paths_of_each_row(count, extra, into):
+    # row i is the first m terms of lane i % 2 of pair i // 2; the terms past
+    # m, the pad lane of an odd count and the pairs past it are never read
+    m = 41
+    rng = np.random.default_rng(count)
+    y = rng.standard_cauchy((count, m))
+    lanes = np.full(((count + 3) // 2, m + extra, 2), np.nan)
+    for i, row in enumerate(y):
+        lanes[i // 2, :m, i % 2] = row
+    out = np.full((count + 1, m), np.nan)
+    sups = np.full(count, np.nan) if into else None
+    got = _pair_sups(lanes, count, m, out, sups)
+    assert got.shape == (count,)
+    assert got is sups or not into
+    for i, row in enumerate(y):
+        points, sup, _ = reference_path(row)
+        assert_array_equal(out[i], points[1:])  # signed, tied down
+        assert got[i] == sup == np.abs(out[i]).max()
+    assert np.isnan(out[count:]).all()
 
 
 def reference_critical_value(sample, d, plan):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,7 @@ def paired_draw(plan, n, start, stop):
     pairs = (stop - start + 1) // 2
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resampling, "_BLOCK_ELEMS", 1 << 62)
-        lanes, _, _, draw = resampling._drawer(x, plan, 2 * pairs + 2)
+        lanes, _, draw = resampling._drawer(x, plan, 2 * pairs + 2)
     assert lanes.shape[0] == pairs + 1
     lanes.fill(np.nan)
     draw(start, stop)
@@ -415,6 +416,30 @@ def test_critical_value_is_the_quantile_of_a_per_replicate_loop(mode):
     est = resampled_critical_value(sample, d, plan)
     assert (est.value, est.standard_error) == (stats[18], (stats[20] - stats[16]) / 2)
     assert (est.level, est.replications) == (0.9, 21)
+
+
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_a_critical_value_holds_no_block_past_the_drawers_buffers(mode):
+    # n = m = B = 1000, so a block is 16 rows of 1000 doubles.  The drawer's
+    # buffers are the lanes and the sums, one block each, and for a bootstrap
+    # also the raw words (half a block), the products and the indices; the
+    # path step's products and moduli reuse the lanes.  With numpy 2.4 the
+    # traced peaks were 655 KiB (bootstrap) and 295 KiB (permutation), 93 and
+    # 45 KiB above the buffers; a product buffer of its own, one block more,
+    # read 780 and 420 KiB
+    n = m = 1000
+    x = sample_iid(two_sided_pareto(1.5), n, seed=1)
+    plan = ResamplePlan(m=m, mode=mode, replications=1000, seed=0)
+    block = 2 * (resampling._BLOCK_ELEMS // (2 * m)) * m * 8
+    buffers = block * (4.5 if mode == WITH_REPLACEMENT else 2)
+    resampled_critical_value(x, 5, plan)  # the weights' cache and the generator
+    tracemalloc.start()
+    try:
+        resampled_critical_value(x, 5, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + block
 
 
 _FAULT_PROBE = """

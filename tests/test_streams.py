@@ -178,19 +178,23 @@ def _path_of_replicate(index):
 SPEC = SimulationSpec(two_sided_pareto(1.5), n=20, replications=3, master_seed=4)
 
 # each public entry that takes a replicate, seed or stream index, and the name
-# its error gives that index
+# its error gives that index; the samplers check their size n the same way
 INDEXED_ENTRIES = {
     "resampled_path": (_path_of_replicate, "replicate_index"),
     "generate_null": (lambda i: generate_null(SPEC, i), "replicate"),
     "sample_iid": (lambda i: sample_iid(two_sided_pareto(1.5), 5, seed=i), "seed"),
     "sample_substream": (lambda i: sample_substream(two_sided_pareto(1.5), 5, 0, i), "stream"),
+    "sample_iid_n": (lambda n: sample_iid(two_sided_pareto(1.5), n, 0), "n must be an integer"),
+    "sample_substream_n": (
+        lambda n: sample_substream(two_sided_pareto(1.5), n, 0, 3), "n must be an integer"),
 }
 
 
 @pytest.mark.parametrize("bad", [True, np.True_, 1.0], ids=["True", "np.True_", "1.0"])
 @pytest.mark.parametrize("entry", INDEXED_ENTRIES.values(), ids=INDEXED_ENTRIES.keys())
 def test_a_bool_or_float_index_is_a_named_error(entry, bad):
-    # True would otherwise pick replicate, seed or stream 1 silently
+    # True would otherwise pick replicate, seed or stream 1 silently, and
+    # numpy fails on a bool or float n with a TypeError that names no parameter
     call, name = entry
     with pytest.raises(ValueError, match=name):
         call(bad)
