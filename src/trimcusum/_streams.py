@@ -1,10 +1,12 @@
-"""Counter-based uniform streams (Philox) for reproducible, order-independent draws.
+"""Counter-based Philox streams for reproducible, order-independent draws.
 
 Every consumer of randomness in this package addresses a (seed, stream) pair,
 both integers in [0, 2**128).  The seed is the Philox key and stream r starts
 at counter r * STREAM_STRIDE of that key, so replicate streams never overlap
 and results do not depend on the order or degree of parallelism with which
-replicates are evaluated.
+replicates are evaluated.  This module only addresses streams: the samplers
+draw their uniforms in heavy_tail_models._uniform_rows, and the resampler its
+indices and shuffles in resampling.
 
 Each thread keeps one Philox bit generator and one state dict for it, and
 moves the generator to the addressed stream by rewriting the dict's key and
@@ -22,7 +24,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["SEED_LIMIT", "STREAM_STRIDE", "U_FLOOR", "stream_generator", "stream_uniforms"]
+__all__ = ["SEED_LIMIT", "STREAM_STRIDE", "stream_generator"]
 
 _WORD = (1 << 64) - 1
 
@@ -35,10 +37,6 @@ SEED_LIMIT = 1 << 128
 # 64-bit words, so a single stream can serve ~2**130 draws before touching its
 # neighbor; actual per-replicate consumption is bounded by the sample size.
 STREAM_STRIDE = 1 << 128
-
-# Smallest uniform handed out: draws of 0 are raised to it, so that maps of
-# the open interval (0, 1) are safe.
-U_FLOOR = 2.0 ** -53
 
 _local = threading.local()
 
@@ -62,9 +60,8 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """This thread's generator, moved to the start of substream `stream` of
     family `seed`.
 
-    The generator is shared: the next call of `stream_generator` or
-    `stream_uniforms` on the same thread moves it to another stream, so draw
-    from it before then.
+    The generator is shared: the next call on the same thread moves it to
+    another stream, so draw from it before then.
     """
     # a Python int in range passes at once; anything else goes through
     # _check_index, which converts it or raises
@@ -90,13 +87,3 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     gen.bit_generator.state = state
     return gen
 
-
-def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """A new array of the first n uniforms of substream `stream` of family
-    `seed`, with draws of 0 raised to U_FLOOR so that (0, 1) maps are safe."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n >= STREAM_STRIDE:
-        raise ValueError("draw count exceeds the per-stream reservation")
-    u = stream_generator(seed, stream).random(n)
-    return np.maximum(u, U_FLOOR, out=u)

@@ -99,11 +99,19 @@ def _sig6(x: float) -> float:
 
 
 def _model_from_args(args) -> TailModel:
-    if args.family == GAUSSIAN:
+    """The model of --family (diagnose's is the one-sided family), at --alpha
+    1.5 and --p 0.5 unless given.  An option the family does not take is a
+    usage error, not a value that is echoed but never used."""
+    family = getattr(args, "family", ONE_SIDED_PARETO)
+    for name in {GAUSSIAN: ("alpha", "p"), ONE_SIDED_PARETO: ("p",)}.get(family, ()):
+        if getattr(args, name, None) is not None:
+            raise UsageError(f"--{name} does not apply to the {family} family")
+    if family == GAUSSIAN:
         return gaussian()
-    if args.family == ONE_SIDED_PARETO:
-        return one_sided_pareto(args.alpha)
-    return two_sided_pareto(args.alpha, args.p)
+    alpha = 1.5 if args.alpha is None else args.alpha
+    if family == ONE_SIDED_PARETO:
+        return one_sided_pareto(alpha)
+    return two_sided_pareto(alpha, 0.5 if args.p is None else args.p)
 
 
 def _resolve_workers(args) -> int:
@@ -214,9 +222,10 @@ def _spec(args, n_list: list[int]) -> SimulationSpec:
 def _cmd_simulate(args) -> tuple[int, str]:
     n_list = _parse_n_list(args.n)
     spec = _spec(args, n_list)
-    rows = [[_inf_str(n), cv] for n, cv in critical_value_table(spec, n_list, workers=_resolve_workers(args))]
+    table = critical_value_table(spec, n_list, workers=_resolve_workers(args))
+    rows = [["inf" if math.isinf(n) else int(n), cv] for n, cv in table]
     if args.format == "json":
-        return 0, _json_doc(_sim_config("simulate", args, n_list), {"table": rows})
+        return 0, _json_doc(_sim_config("simulate", args, spec.model, n_list), {"table": rows})
     return 0, _csv(["n", "critical_value"], rows)
 
 
@@ -229,7 +238,7 @@ def _cmd_power(args) -> tuple[int, str]:
     pspec = PowerSpec(base=spec, change_at=change_at, critical_value=critical)
     points = power_curve(pspec, workers=_resolve_workers(args))
     if args.format == "json":
-        config = _sim_config("power", args, [args.n])
+        config = _sim_config("power", args, spec.model, args.n)
         config.update({"change_at": change_at, "critical_value": critical})
         return 0, _json_doc(config, {"points": [[s, p] for s, p in points]})
     return 0, _csv(["shift", "power"], [[s, p] for s, p in points])
@@ -266,14 +275,14 @@ def _cmd_resample(args) -> tuple[int, str]:
 
 
 def _cmd_diagnose(args) -> tuple[int, str]:
-    model = one_sided_pareto(args.alpha)
+    model = _model_from_args(args)
     d = _depth(args, args.n)
     workers = _resolve_workers(args)
     summary, gaps = _diagnostics(model, args.n, d, args.reps, seed=args.seed, workers=workers)
     config = {
         "subcommand": "diagnose",
-        "family": ONE_SIDED_PARETO,
-        "alpha": args.alpha,
+        "family": model.family,
+        "alpha": model.alpha,
         "n": args.n,
         "d": d,
         "reps": args.reps,
@@ -302,22 +311,19 @@ def _cmd_quantile(args) -> tuple[int, str]:
     return 0, f"{value:.6g}\n"
 
 
-def _sim_config(subcommand: str, args, n_list: list[int]) -> dict:
+def _sim_config(subcommand: str, args, model: TailModel, n) -> dict:
+    """The config echo: the model's own parameters, null where it has none."""
     return {
         "subcommand": subcommand,
-        "family": args.family,
-        "alpha": args.alpha,
-        "p": args.p,
-        "n": n_list if subcommand == "simulate" else n_list[0],
+        "family": model.family,
+        "alpha": model.alpha,
+        "p": model.p if model.is_pareto else None,
+        "n": n,
         "d": args.d,
         "reps": args.reps,
         "level": args.level,
         "seed": args.seed,
     }
-
-
-def _inf_str(n: float):
-    return "inf" if math.isinf(n) else int(n)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -339,8 +345,8 @@ _SHARED = {
     "format": {"choices": ("json", "csv"), "default": None},
     "family": {"choices": (TWO_SIDED_PARETO, ONE_SIDED_PARETO, GAUSSIAN),
                "default": TWO_SIDED_PARETO},
-    "alpha": {"type": float, "default": 1.5},
-    "p": {"type": float, "default": 0.5},
+    "alpha": {"type": float, "default": None},  # defaults: _model_from_args
+    "p": {"type": float, "default": None},
     "workers": {"type": int, "default": None},
 }
 _MODEL = ("family", "alpha", "p")

@@ -12,6 +12,10 @@ a unit Gaussian control for the finite-variance regime:
 For both Pareto families the two-sided survival function of |X| is
 H(t) = (1+t)**-alpha with exact inverse H^-1(u) = u**(-1/alpha) - 1, which keeps
 every norming constant and truncated moment analytic.
+
+Replicate r of seed s at size n is the inverse CDF of the first n uniforms of
+Philox stream r of s.  One routine, _uniform_rows, draws them for sample_iid,
+sample_substream and every Monte Carlo block.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import stream_uniforms
+from ._streams import stream_generator
 from .trimmed_cusum import _check_depth, _integer
 
 __all__ = [
@@ -50,6 +54,11 @@ ONE_SIDED_PARETO = "one_sided_pareto"
 GAUSSIAN = "gaussian"
 
 _FAMILIES = (TWO_SIDED_PARETO, ONE_SIDED_PARETO, GAUSSIAN)
+
+
+# Smallest uniform handed out: draws of 0 are raised to it, so that maps of
+# the open interval (0, 1) are safe.
+U_FLOOR = 2.0 ** -53
 
 
 class UnsupportedModelError(ValueError):
@@ -196,12 +205,23 @@ def quantile(model: TailModel, u):
     return _ret(_quantile_unchecked(model, arr), scalar)
 
 
+def _uniform_rows(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill row i of `out`, a C-contiguous (R, n) float array, with the first
+    n uniforms of stream start + i of `seed`, draws of 0 raised to U_FLOOR,
+    and return it.  stream_generator checks the seed and each stream index."""
+    for i, row in enumerate(out):
+        stream_generator(seed, start + i).random(out=row)
+    return np.maximum(out, U_FLOOR, out=out)
+
+
 def sample_substream(model: TailModel, n: int, seed: int, stream: int) -> np.ndarray:
     """Inverse-CDF sample of size n from substream `stream` of seed `seed`."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _quantile_unchecked(model, stream_uniforms(seed, stream, n))
+    stream = _integer(stream, "stream")  # True + 0 would pass as stream 1
+    u = _uniform_rows(seed, stream, np.empty((1, n)))
+    return _quantile_unchecked(model, u, overwrite=True)[0]
 
 
 def sample_iid(model: TailModel, n: int, seed: int) -> np.ndarray:

@@ -10,11 +10,11 @@ the standard library's decimal module at 40 significant digits: the theta
 series, of positive terms, below x = 1, where it keeps full relative
 accuracy deep into the left tail (K passes below the smallest double near
 x = 0.04), and the alternating series of the survival function 1 - K above.
-The quantile solves K(x) = level by Newton's method from a closed-form float
-start, on log K up to the median and on log(1 - K) above it, so that both
-tails keep their relative accuracy.  Each function returns the double
-nearest its 40-digit value, which is the correctly rounded result unless the
-exact value lies within about 1e-38 relative of a rounding boundary.
+The quantile solves K(x) = level by Newton's method from x = 1 for every
+level, on log K up to the median and on log(1 - K) above it, so that both
+tails keep their relative accuracy.  Each function returns the double nearest
+its 40-digit value, which is the correctly rounded result unless the exact
+value lies within about 1e-38 relative of a rounding boundary.
 Quantiles are memoised per level.  Only the standard library is used, so the
 Pareto paths of the command line load no scipy.
 """
@@ -101,33 +101,19 @@ def sup_bridge_quantile(level: float) -> float:
     return _quantile(float(level))
 
 
-def _start(level: float) -> float:
-    """A float start for Newton's method: the first term of the series that
-    the tail of `level` is solved on.  Up to the median, the fixed point of
-    x = pi / sqrt(8 log(sqrt(2 pi) / (x level))), which stays in (0, 1);
-    above it, the root of 2 exp(-2 x**2) = 1 - level (exact for a double
-    level >= 1/2)."""
-    if level <= 0.5:
-        x, log_level = 1.0, math.log(level)
-        for _ in range(4):
-            x = math.pi / math.sqrt(8.0 * (math.log(math.sqrt(2.0 * math.pi) / x) - log_level))
-        return x
-    return math.sqrt(math.log(2.0 / (1.0 - level)) / 2.0)
-
-
 @functools.lru_cache(maxsize=128)
 def _quantile(level: float) -> float:
     """sup_bridge_quantile of a checked level, memoised per level.
 
     Newton's method on g(x) = log K(x) - log level up to the median and on
-    log(1 - K(x)) - log(1 - level) above it; each step is kept within a
-    factor of two of x, so the iterate stays positive however far the
-    first tangent reaches.
+    log(1 - K(x)) - log(1 - level) above it, from x = 1; each step is kept
+    within a factor of two of x, so the iterate stays positive however far
+    the first tangent reaches.
     """
     lower = level <= 0.5
     with decimal.localcontext(_CONTEXT):
         goal = (Decimal(level) if lower else 1 - Decimal(level)).ln()
-        x = Decimal(_start(level))
+        x = Decimal(1)
         for _ in range(_MAX_STEPS):
             cdf, survival, density = _law(x)
             if lower:

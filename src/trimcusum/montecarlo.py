@@ -26,13 +26,14 @@ from .heavy_tail_models import (
     _depth_threshold,
     _normal,
     _quantile_unchecked,
+    _uniform_rows,
     centering_scale,
     gaussian,
     mean_shift,
     sample_substream,
     truncated_sum_scale,
 )
-from ._streams import SEED_LIMIT, U_FLOOR, stream_generator
+from ._streams import SEED_LIMIT
 from .limit_dist import sup_bridge_quantile
 from .resampling import _sorted_quantile_and_error
 from .trimmed_cusum import (
@@ -192,16 +193,12 @@ def generate_null(spec: SimulationSpec, replicate: int) -> np.ndarray:
 def _sample_block(
     model: TailModel, n: int, seed: int, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """One job's sample block: row i holds the uniforms of substream start + i,
-    exactly as sample_substream draws them (stream_uniforms), drawn straight
-    into the block and raised to U_FLOOR once for the whole block, and the
-    whole block goes through the inverse CDF in one call, in place.  With
+    """One job's sample block: row i is sample_substream(model, n, seed,
+    start + i), bit for bit, as both draw their uniforms through _uniform_rows;
+    the whole block goes through the inverse CDF in one call, in place.  With
     `out`, a C-contiguous (count, n) array, the block is drawn into it."""
     u = np.empty((count, n)) if out is None else out
-    for i in range(count):
-        stream_generator(seed, start + i).random(n, out=u[i])
-    np.maximum(u, U_FLOOR, out=u)
-    return _quantile_unchecked(model, u, overwrite=True)
+    return _quantile_unchecked(model, _uniform_rows(seed, start, u), overwrite=True)
 
 
 def _overflow_error(replicate: int, seed: int, n: int, d: int, result: str):

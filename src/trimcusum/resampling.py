@@ -243,9 +243,9 @@ def _indices(plan: ResamplePlan, n: int, start: int, stop: int, words: np.ndarra
             words[row] = stream_generator(seed, start + row).bit_generator.random_raw(width)
         words[count:] = 0  # the unused lane of an odd block: index 0
         c = words.astype("<u8", copy=False).view("<u4")[:, :m]  # the 32-bit candidates
-        # exact in 64 bits; the loop's dtype is explicit, as numpy 1.24's
-        # value-based casting would pick the uint32 loop and wrap the product
-        prod = np.multiply(c, np.uint64(n), out=products[: 2 * pairs], dtype=np.uint64)
+        prod = products[: 2 * pairs]
+        prod[...] = c  # widened in place, so the product is exact in 64 bits
+        np.multiply(prod, np.uint64(n), out=prod)
         np.right_shift(prod.reshape(pairs, 2, m), np.uint64(32), out=idx.transpose(0, 2, 1))
         threshold = (2**32 - n) % n
         redraw = ()

@@ -262,6 +262,42 @@ def test_options_a_subcommand_would_ignore_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "power"])
+@pytest.mark.parametrize(
+    "family, option",
+    [("one_sided_pareto", "--p"), ("gaussian", "--p"), ("gaussian", "--alpha")],
+)
+def test_a_model_option_the_family_does_not_take_is_a_usage_error(
+    capsys, subcommand, family, option
+):
+    # the family would run without it, and the config would echo it as used
+    argv = (subcommand, "--n", "100", "--reps", "10", "--family", family, option, "0.3")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"trimcusum: {option} does not apply to the {family} family\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, options, alpha, p",
+    [
+        ("simulate", ("--family", "one_sided_pareto"), 1.5, 1.0),
+        ("power", ("--family", "one_sided_pareto", "--alpha", "0.9"), 0.9, 1.0),
+        ("simulate", ("--family", "gaussian"), None, None),
+        ("power", ("--family", "gaussian"), None, None),
+        ("simulate", ("--alpha", "1.2", "--p", "0.3"), 1.2, 0.3),
+    ],
+)
+def test_the_json_config_echoes_the_parameters_of_the_model_drawn(
+    capsys, subcommand, options, alpha, p
+):
+    argv = (subcommand, "--n", "100", "--reps", "10", *options, "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["alpha"], config["p"]) == (alpha, p)
+
+
 @pytest.mark.parametrize("subcommand", ["simulate", "power", "diagnose"])
 def test_seeds_past_128_bits_are_usage_errors(capsys, subcommand):
     # 2**128 would key the same Philox family as seed 0

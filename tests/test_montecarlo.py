@@ -215,6 +215,20 @@ def test_batch_statistics_match_scalar_path():
     assert_array_equal(null_statistics(spec), scalar)
 
 
+@pytest.mark.parametrize(
+    "model", [two_sided_pareto(1.3, p=0.3), one_sided_pareto(0.8), gaussian()],
+    ids=["two_sided", "one_sided", "gaussian"],
+)
+def test_sample_block_rows_are_the_substream_samples(model):
+    # both samplers draw through one routine: row i of a block is the sample
+    # of stream start + i bit for bit, for every family's inverse CDF
+    seed, start, count, n = 17, 2**70 + 5, 4, 61
+    block = _sample_block(model, n, seed, start, count)
+    assert block.shape == (count, n)
+    for i in range(count):
+        assert_array_equal(block[i], sample_substream(model, n, seed, start + i))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blocks_that_do_not_divide_the_replicates_match_the_replicate_loop(
     monkeypatch, workers

@@ -16,14 +16,16 @@ from trimcusum import (
     SimulationSpec,
     generate_null,
     null_statistics,
+    quantile,
     resampled_critical_value,
     resampled_path,
     sample_iid,
     sample_substream,
     two_sided_pareto,
 )
-from trimcusum import montecarlo, resampling
-from trimcusum._streams import STREAM_STRIDE, stream_generator, stream_uniforms
+from trimcusum import heavy_tail_models, montecarlo, resampling
+from trimcusum._streams import STREAM_STRIDE, stream_generator
+from trimcusum.heavy_tail_models import _uniform_rows
 from trimcusum.trimmed_cusum import _trim_one
 
 # the word boundaries of the two 64-bit words that hold a seed or stream index
@@ -48,7 +50,7 @@ def test_streams_match_a_new_generator_bit_for_bit(seeds, streams, n):
     for stream in streams:
         for seed in seeds:
             expected = np.maximum(reference(seed, stream).random(n), 2.0 ** -53)
-            assert_array_equal(stream_uniforms(seed, stream, n), expected)
+            assert_array_equal(_uniform_rows(seed, stream, np.empty((1, n)))[0], expected)
     for stream in streams:
         for seed in seeds:
             assert_array_equal(
@@ -86,21 +88,22 @@ def test_a_partly_drawn_stream_is_restarted():
 def test_indices_outside_128_bits_are_rejected(seed, stream, message):
     # 2**128 would alias 0 in the key or wrap onto another replicate's counter
     with pytest.raises(ValueError, match=re.escape(message)):
-        stream_uniforms(seed, stream, 5)
+        sample_substream(two_sided_pareto(1.5), 5, seed, stream)
     with pytest.raises(ValueError, match=re.escape(message)):
         stream_generator(seed, stream)
 
 
 @pytest.mark.parametrize(
-    "n, message", [(-1, "n must be nonnegative"), (STREAM_STRIDE, "exceeds the per-stream reservation")]
+    "n, message", [(-1, "n must be at least 1"), (0, "n must be at least 1"), (STREAM_STRIDE, None)]
 )
 def test_draw_counts_outside_a_stream_are_rejected_before_any_draw(n, message):
     # the shared generator is neither moved nor drawn from: it goes on with
-    # the stream it was at
+    # the stream it was at.  No array holds a stream's 2**128 draws, and
+    # numpy refuses to allocate one before any stream is addressed
     gen = stream_generator(3, 4)
     gen.random(5)
     with pytest.raises(ValueError, match=message):
-        stream_uniforms(1, 2, n)
+        sample_substream(two_sided_pareto(1.5), n, 1, 2)
     assert_array_equal(gen.random(3), reference(3, 4).random(8)[5:])
 
 
@@ -149,11 +152,15 @@ def test_threads_draw_the_serial_bits():
 
 @pytest.mark.parametrize("kind", [np.uint8, np.int64, np.uint64])
 def test_numpy_integer_indices_draw_what_python_ints_draw(kind):
+    model = two_sided_pareto(1.5)
     for seed, stream in ((0, 0), (3, 7), (200, 101)):
         expected = reference(seed, stream).random(6)
         assert_array_equal(stream_generator(kind(seed), stream).random(6), expected)
         assert_array_equal(stream_generator(seed, kind(stream)).random(6), expected)
-        assert_array_equal(stream_uniforms(kind(seed), kind(stream), 6), np.maximum(expected, 2.0**-53))
+        assert_array_equal(
+            sample_substream(model, 6, kind(seed), kind(stream)),
+            quantile(model, np.maximum(expected, 2.0**-53)),
+        )
     big = np.uint64(2**64 - 1)
     assert_array_equal(stream_generator(big, big).random(3), reference(2**64 - 1, 2**64 - 1).random(3))
 
@@ -244,7 +251,7 @@ def _counting(monkeypatch, module, calls):
 def test_each_replicate_addresses_its_stream_once(monkeypatch):
     # the benchmark counts these calls as streams addressed and replicates
     calls = []
-    _counting(monkeypatch, montecarlo, calls)
+    _counting(monkeypatch, heavy_tail_models, calls)
     montecarlo._sample_block(two_sided_pareto(1.5), 50, 3, 10, 7)
     assert calls == list(range(10, 17))
     _counting(monkeypatch, resampling, calls)
